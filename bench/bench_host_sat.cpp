@@ -38,23 +38,6 @@ void BM_HostSatTwoPass(benchmark::State& state) {
 }
 BENCHMARK(BM_HostSatTwoPass)->Arg(1024)->Arg(4096);
 
-void BM_HostSatBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto tile = static_cast<std::size_t>(state.range(1));
-  const auto a = sat::Matrix<float>::random(n, n, 1, 0.0f, 1.0f);
-  sat::Matrix<float> b(n, n);
-  for (auto _ : state) {
-    sathost::sat_blocked<float>(a.view(), b.view(), tile);
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) * n * n * 2 * 4);
-}
-BENCHMARK(BM_HostSatBlocked)
-    ->Args({1024, 32})
-    ->Args({1024, 64})
-    ->Args({1024, 256})
-    ->Args({4096, 64});
-
 void BM_HostSatParallel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto workers = static_cast<std::size_t>(state.range(1));
@@ -87,7 +70,7 @@ BENCHMARK(BM_HostSatWavefront)
     ->Args({1024, 4})
     ->Args({4096, 4});
 
-// The paper's single-pass look-back algorithm on host threads:
+// The paper's single-pass 1R1W-SKSS-LB tiling on host threads:
 // range = {n, tile width W, workers}.
 void BM_HostSatSkssLb(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

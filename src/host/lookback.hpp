@@ -1,19 +1,20 @@
-// Shared pieces of the host decoupled look-back protocol (the CPU analog of
-// src/sat/aux_arrays.hpp + src/sat/protocol_specs.hpp).
+// Shared pieces of the host tile protocol: the 1R1W-SKSS neighbour wait of
+// Funasaka et al. (the paper's [15]) on CPU worker threads.
 //
-// Worker threads stand in for the paper's CUDA blocks: per tile T(I,J) they
-// publish LOCAL sums first (LRS/LCS), then resolve the left / top / diagonal
-// prefixes by walking predecessors' status flags, upgrading each published
-// quantity to GLOBAL (GRS/GCS/GLS/GS). The state machines are the paper's:
+// Worker threads stand in for the paper's CUDA blocks. A tile T(I,J) waits
+// until its left neighbour T(I,J−1) and its upper neighbour T(I−1,J) are
+// DONE, reads their published global sums (GRS of the left tile, GCS of the
+// upper tile, GS of the diagonal tile), computes its own SAT in one fused
+// sweep, publishes its own GRS/GCS/GS and raises its DONE flag. The corner
+// GS needs no third wait: the upper tile acquired the diagonal tile's flag
+// before it released its own, and happens-before is transitive.
 //
-//   R: 0 → LRS(1) → GRS(2) → GLS(3) → GS(4)      (row band / diagonal walks)
-//   C: 0 → LCS(1) → GCS(2)                        (column band walks)
-//
-// A tile that resolved every prefix before publishing anything may skip the
-// intermediate states and publish the terminal flag directly — flags are
-// monotone, and a waiter acts only on the snapshot it observed, so skipping
-// LOCAL states is indistinguishable from a fast publisher (the simulated-GPU
-// checker models the same monotonicity; see docs/protocol_checker.md).
+// The paper's decoupled look-back (LOCAL → GLOBAL publication and the walks
+// over many predecessors) pays off only with thousands of resident blocks on
+// dependency chains 2·n/W tiles long; the host runs a handful of workers
+// over a few tile columns, where the wait is short and one path is enough.
+// The look-back stays in the gpusim reproduction (src/sat/algo_skss_lb.hpp);
+// docs/host_engine.md §3 has the measurements.
 //
 // Memory ordering: every value is written *before* its flag is released
 // (store-release); every waiter acquires the flag before reading the value.
@@ -30,6 +31,7 @@
 #include <memory>
 
 #include "obs/registry.hpp"
+#include "sat/tiles.hpp"
 #include "util/backoff.hpp"
 #include "util/check.hpp"
 
@@ -69,18 +71,12 @@ inline SchedHook* g_sched_hook = nullptr;  ///< test-only; null in production
 
 }  // namespace testhook
 
-// Host mirrors of the device status encodings (sat/aux_arrays.hpp). Kept as
-// distinct constants so src/host/ does not depend on the simulator layers.
+// The host flag lattice: one state per tile, 0 → DONE.
 namespace hflag {
-inline constexpr std::uint8_t kLrs = 1;  ///< LRS(I,J) published
-inline constexpr std::uint8_t kGrs = 2;  ///< GRS(I,J) published
-inline constexpr std::uint8_t kGls = 3;  ///< GLS(I,J) published
-inline constexpr std::uint8_t kGs = 4;   ///< GS(I,J) published
-inline constexpr std::uint8_t kLcs = 1;  ///< LCS(I,J) published
-inline constexpr std::uint8_t kGcs = 2;  ///< GCS(I,J) published
+inline constexpr std::uint8_t kDone = 1;  ///< GRS/GCS/GS(I,J) published
 }  // namespace hflag
 
-/// Metric handles for the look-back hot path, resolved once per run (the
+/// Metric handles for the tile-protocol hot path, resolved once per run (the
 /// registry's name lookup takes a mutex; flag waits must not). All null when
 /// observability is off — every publication site is one pointer test.
 struct LookbackObs {
@@ -89,7 +85,6 @@ struct LookbackObs {
   obs::Counter* steals = nullptr;
   obs::Counter* stolen_tiles = nullptr;
   obs::Counter* overlap_tiles = nullptr;
-  obs::Histogram* depth = nullptr;
   obs::Histogram* flag_wait_us = nullptr;
   obs::Histogram* range_tiles = nullptr;
 
@@ -101,7 +96,6 @@ struct LookbackObs {
     steals = &reg->counter("host.lookback.steals");
     stolen_tiles = &reg->counter("host.lookback.stolen_tiles");
     overlap_tiles = &reg->counter("host.lookback.overlap_tiles");
-    depth = &reg->histogram("host.lookback.depth");
     flag_wait_us = &reg->histogram("host.lookback.flag_wait_us");
     range_tiles = &reg->histogram("host.lookback.range_tiles");
 #else
@@ -110,8 +104,8 @@ struct LookbackObs {
   }
 };
 
-/// One status array (R or C) over the tile grid. Flags start at 0 and only
-/// ever increase; publish() is a store-release, wait/peek are load-acquire.
+/// One status array over the tile grid. Flags start at 0 and only ever
+/// increase; publish() is a store-release, wait/peek are load-acquire.
 class StatusFlags {
  public:
   explicit StatusFlags(std::size_t count)
@@ -143,17 +137,16 @@ class StatusFlags {
     return s;
   }
 
-  /// Blocks until tile `idx` reaches at least `want`; returns the observed
-  /// state (which may be higher — callers branch on the snapshot, exactly
-  /// like the device look-back). Spins briefly, then yields (the publisher
-  /// may need this core); a blocking wait records its wall time in
-  /// `obs.flag_wait_us`.
-  std::uint8_t wait_at_least(std::size_t idx, std::uint8_t want,
-                             const LookbackObs& obs) const noexcept {
+  /// Blocks until tile `idx` reaches at least `want`. Returns true when the
+  /// first load saw a lower state (the caller had to wait). Spins briefly,
+  /// then yields (the publisher may need this core); a blocking wait records
+  /// its wall time in `obs.flag_wait_us`.
+  bool wait_at_least(std::size_t idx, std::uint8_t want,
+                     const LookbackObs& obs) const noexcept {
     std::uint8_t s = flags_[idx].load(std::memory_order_acquire);
     if (testhook::g_sched_hook != nullptr)
       testhook::g_sched_hook->on_observe(this, idx, s, want);
-    if (s >= want) return s;
+    if (s >= want) return false;
     const auto t0 = std::chrono::steady_clock::now();
     satutil::SpinBackoff backoff;
     do {
@@ -173,7 +166,7 @@ class StatusFlags {
     (void)t0;
     (void)obs;
 #endif
-    return s;
+    return true;
   }
 
  private:
@@ -188,7 +181,7 @@ class StatusFlags {
 /// own cache line (uncontended until a thief arrives). When a worker's
 /// range drains and the cursor is exhausted, it steals the *tail half* of a
 /// peer's remaining range with one CAS on the victim's span — so a worker
-/// parked in a long look-back wait cannot strand the serials queued behind
+/// parked in a long neighbour wait cannot strand the serials queued behind
 /// its current tile.
 ///
 /// Deadlock freedom (the finite-pool induction of docs/host_engine.md §3
@@ -196,14 +189,14 @@ class StatusFlags {
 /// (sub-)range is consumed in increasing serial order, and pops, refills
 /// and steals never block. The globally smallest unfinished serial is
 /// therefore either (a) the current tile of the worker owning its range —
-/// all of whose look-back dependencies carry smaller serials and are thus
+/// all of whose neighbour dependencies carry smaller serials and are thus
 /// finished, so that worker progresses — or (b) beyond every claimed
 /// range, in which case some running worker reaches the claim loop (claim
 /// code never blocks) and draws it from the cursor.
 ///
 /// Memory ordering: every span and cursor access is relaxed. A serial is a
-/// pure work token — all data a tile reads is guarded by the R/C status
-/// flags' release/acquire pairs (StatusFlags), never by range ownership,
+/// pure work token — all data a tile reads is guarded by the status flags'
+/// release/acquire pairs (StatusFlags), never by range ownership,
 /// and an atomic RMW operates on the latest value regardless of order.
 class ClaimScheduler {
  public:
@@ -337,64 +330,63 @@ class ClaimScheduler {
   std::atomic<std::size_t> work_counter_{0};
 };
 
-/// The per-tile published quantities of Table II, host layout: one length-W
-/// slot per tile for each vector sum (row-major by tile index, like the
-/// device SatAux), one scalar slot per tile for GLS/GS. Element storage is
-/// default-initialized (not zeroed) — every slot is written before its flag
-/// releases it, so zero-filling would only add a cold pass over the arrays.
+/// The per-tile published quantities of Table II that the neighbour wait
+/// reads, host layout: one length-W slot per tile for each vector sum
+/// (row-major by tile index, like the device SatAux), one scalar slot per
+/// tile for GS. Element storage is default-initialized (not zeroed) — every
+/// slot is written before its flag releases it, so zero-filling would only
+/// add a cold pass over the arrays.
 template <class T>
 struct LookbackAux {
   LookbackAux(std::size_t tile_count, std::size_t tile_w)
       : w(tile_w),
-        lrs(new T[tile_count * tile_w]),
         grs(new T[tile_count * tile_w]),
-        lcs(new T[tile_count * tile_w]),
         gcs(new T[tile_count * tile_w]),
-        gls(new T[tile_count]),
         gs(new T[tile_count]),
-        r_status(tile_count),
-        c_status(tile_count) {}
+        status(tile_count) {}
 
   /// First element of tile `idx`'s vector slot.
   [[nodiscard]] std::size_t vec_base(std::size_t idx) const {
     return idx * w;
   }
 
-  std::size_t w;
-  std::unique_ptr<T[]> lrs;  ///< local row sums (length-P slots)
-  std::unique_ptr<T[]> grs;  ///< global row sums
-  std::unique_ptr<T[]> lcs;  ///< local column sums (length-Q slots)
-  std::unique_ptr<T[]> gcs;  ///< global column sums
-  std::unique_ptr<T[]> gls;  ///< L-band sums (scalar per tile)
-  std::unique_ptr<T[]> gs;   ///< global sums (scalar per tile)
-  StatusFlags r_status;
-  StatusFlags c_status;
-};
+  /// What the neighbour wait hands tile T(I,J): GRS(I,J−1) and GCS(I−1,J)
+  /// (null at the matrix border), GS(I−1,J−1) (zero at the border), and
+  /// whether either wait found its neighbour unfinished.
+  struct Prefixes {
+    const T* grs = nullptr;
+    const T* gcs = nullptr;
+    T corner{};
+    bool waited = false;
+  };
 
-/// Decoupled look-back walk along one axis (Figure 10 on the host): starting
-/// from the immediate predecessor, wait for each tile's LOCAL state, add its
-/// GLOBAL vector and stop if published, otherwise add its LOCAL vector and
-/// keep walking. `pred_idx(k)` maps walk step k = 0.. to a tile index;
-/// `steps` bounds the walk (the border terminates it: at the border tile the
-/// LOCAL sum *is* the GLOBAL sum). Accumulates into `out[0, len)` and
-/// returns the number of predecessors inspected.
-template <class T, class PredIdx>
-std::size_t lookback_accumulate(const StatusFlags& status, const T* local,
-                                const T* global, std::size_t slot_w,
-                                std::size_t steps, std::size_t len, T* out,
-                                std::uint8_t local_state,
-                                std::uint8_t global_state,
-                                const LookbackObs& obs, PredIdx pred_idx) {
-  std::size_t depth = 0;
-  for (std::size_t k = 0; k < steps; ++k) {
-    const std::size_t pred = pred_idx(k);
-    const std::uint8_t s = status.wait_at_least(pred, local_state, obs);
-    ++depth;
-    const T* vec = (s >= global_state ? global : local) + pred * slot_w;
-    for (std::size_t i = 0; i < len; ++i) out[i] += vec[i];
-    if (s >= global_state) break;
+  /// The neighbour wait of tile (ti, tj): blocks until the left, then the
+  /// upper neighbour is DONE, and returns their published sums. Both carry
+  /// a smaller σ, so the claim-order induction (ClaimScheduler) guarantees
+  /// they finish. The corner needs no wait of its own: the upper tile
+  /// acquired its flag before releasing its own.
+  Prefixes wait_neighbours(const satalgo::TileGrid& grid, std::size_t ti,
+                           std::size_t tj, const LookbackObs& obs) const {
+    Prefixes in;
+    if (tj > 0) {
+      in.waited |= status.wait_at_least(grid.idx(ti, tj - 1), hflag::kDone,
+                                        obs);
+      in.grs = grs.get() + vec_base(grid.idx(ti, tj - 1));
+    }
+    if (ti > 0) {
+      in.waited |= status.wait_at_least(grid.idx(ti - 1, tj), hflag::kDone,
+                                        obs);
+      in.gcs = gcs.get() + vec_base(grid.idx(ti - 1, tj));
+    }
+    if (ti > 0 && tj > 0) in.corner = gs[grid.idx(ti - 1, tj - 1)];
+    return in;
   }
-  return depth;
-}
+
+  std::size_t w;
+  std::unique_ptr<T[]> grs;  ///< global row sums (length-P slots)
+  std::unique_ptr<T[]> gcs;  ///< global column sums (length-Q slots)
+  std::unique_ptr<T[]> gs;   ///< global sums (scalar per tile)
+  StatusFlags status;        ///< 0 → hflag::kDone
+};
 
 }  // namespace sathost

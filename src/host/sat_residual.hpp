@@ -8,19 +8,20 @@
 //     and the per-row sums left of the current tile). The sat_simd analog.
 //
 //   - sat_skss_lb_residual_batch: the 1R1W-SKSS-LB engine re-targeted at a
-//     TiledSat output. Identical claim-range scheduling, flag machine, and
-//     look-back walks as sat_skss_lb_batch (host/sat_skss_lb.hpp), with two
-//     deltas: the flag-published quantities are WIDE (LookbackAux<Wide>, so
-//     the bases stay exact past T's range), and step 4 — the dense fix-up
-//     store — becomes the tile encode: the look-back path's `band` vector
-//     IS RowBand and its `offrow` vector IS ColBand, so the residual
-//     encoding falls out of state the engine already computes. The residual
-//     width is chosen per tile at claim time from the tile's value range
-//     (TiledSat::encode_tile), with the wide fallback on u32 overflow.
-//     There is no fused fast path: residual encoding must see the whole
-//     tile before choosing a width, so every tile stages through the
-//     arena's local SAT buffer; what the engine saves is the output
-//     traffic — u16 residuals stream 2–4× fewer bytes than the dense table.
+//     TiledSat output. Identical claim-range scheduling and neighbour wait
+//     as sat_skss_lb_batch (host/sat_skss_lb.hpp), with two deltas: the
+//     flag-published quantities are WIDE (LookbackAux<Wide>, so the bases
+//     stay exact past T's range), and the fused store to dst becomes the
+//     tile encode. Residual encoding must see the whole tile before it
+//     chooses a width, so each tile first computes its tile-local SAT and
+//     value range into the arena's staging buffer — before the wait, so the
+//     sweep overlaps a slow neighbour. After the wait, the prefix of the
+//     left neighbour's GRS IS RowBand and the corner GS plus the prefix of
+//     the upper neighbour's GCS IS ColBand; the tile publishes its own sums
+//     and DONE, then TiledSat::encode_tile picks the residual width from
+//     the tile's value range, with the wide fallback on u32 overflow. What
+//     the engine saves is the output traffic — u16 residuals stream 2–4×
+//     fewer bytes than the dense table.
 //
 // Deadlock freedom, claim discipline, and flag semantics are exactly those
 // of sat_skss_lb_batch; see that header's proof sketch.
@@ -208,18 +209,11 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
     const std::size_t r0 = ti * w, c0 = tj * w;
     const std::size_t P = std::min(w, rows - r0);
     const std::size_t Q = std::min(w, cols - c0);
-    Wide* lrs_self = iaux.lrs.get() + iaux.vec_base(self);
-    Wide* lcs_self = iaux.lcs.get() + iaux.vec_base(self);
-    Wide* grs_self = iaux.grs.get() + iaux.vec_base(self);
-    Wide* gcs_self = iaux.gcs.get() + iaux.vec_base(self);
     T* acc = tarena.acc();
     T* tilebuf = tarena.tile();
-    T* lrs_t = tarena.grs_left();  // row-carry scratch in T
-    const bool deep = simd_row_block<T>(Q) == 8;
+    T* lrs = tarena.aux();  // the tile's own row sums, in T
 
-    // Step 1: tile-local SAT in T — the same register-blocked sweeps as the
-    // dense engine's look-back path. Carries and bottom-row differences are
-    // widened as they move into the flag-published slots. The value range
+    // Tile-local SAT in T with the register-blocked sweep. The value range
     // for encode_tile's width choice is folded in right behind each kernel
     // call, while the freshly written rows are still L1-hot.
     std::fill(acc, acc + Q, T{});
@@ -232,133 +226,73 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
       for (std::size_t k = 0; k < count; ++k)
         sat::detail::update_range(tilebuf + (p0 + k) * w, Q, mn, mx);
     };
-    {
-      std::size_t p = 0;
-      if (deep) {
-        for (; p + 8 <= P; p += 8) {
-          const T* srows[8];
-          T* brows[8];
-          T carries[8] = {};
-          for (std::size_t k = 0; k < 8; ++k) {
-            srows[k] = &src(r0 + p + k, c0);
-            brows[k] = tilebuf + (p + k) * w;
-          }
-          simd_row_scan_acc8(srows, acc, brows, Q, carries,
-                             /*allow_stream=*/false);
-          for (std::size_t k = 0; k < 8; ++k) lrs_t[p + k] = carries[k];
-          track_rows(p, 8);
-        }
-      }
-      for (; p + 4 <= P; p += 4) {
-        const T* srows[4] = {&src(r0 + p, c0), &src(r0 + p + 1, c0),
-                             &src(r0 + p + 2, c0), &src(r0 + p + 3, c0)};
-        T* brows[4] = {tilebuf + p * w, tilebuf + (p + 1) * w,
-                       tilebuf + (p + 2) * w, tilebuf + (p + 3) * w};
-        T carries[4] = {T{}, T{}, T{}, T{}};
-        simd_row_scan_acc4(srows, acc, brows, Q, carries,
-                           /*allow_stream=*/false);
-        for (std::size_t k = 0; k < 4; ++k) lrs_t[p + k] = carries[k];
-        track_rows(p, 4);
-      }
-      for (; p < P; ++p) {
-        lrs_t[p] = simd_row_scan_acc(&src(r0 + p, c0), acc, tilebuf + p * w,
-                                     Q, T{}, /*allow_stream=*/false);
-        track_rows(p, 1);
-      }
+    std::size_t p = 0;
+    for (; p + 4 <= P; p += 4) {
+      const T* srows[4] = {&src(r0 + p, c0), &src(r0 + p + 1, c0),
+                           &src(r0 + p + 2, c0), &src(r0 + p + 3, c0)};
+      T* brows[4] = {tilebuf + p * w, tilebuf + (p + 1) * w,
+                     tilebuf + (p + 2) * w, tilebuf + (p + 3) * w};
+      T carries[4] = {T{}, T{}, T{}, T{}};
+      simd_row_scan_acc4(srows, acc, brows, Q, carries,
+                         /*allow_stream=*/false);
+      for (std::size_t k = 0; k < 4; ++k) lrs[p + k] = carries[k];
+      track_rows(p, 4);
     }
-    for (std::size_t p = 0; p < P; ++p)
-      lrs_self[p] = static_cast<Wide>(lrs_t[p]);
-    const T* bottom = tilebuf + (P - 1) * w;
-    lcs_self[0] = static_cast<Wide>(bottom[0]);
-    for (std::size_t q = 1; q < Q; ++q)
-      lcs_self[q] =
-          static_cast<Wide>(bottom[q]) - static_cast<Wide>(bottom[q - 1]);
-
-    iaux.r_status.publish(self, hflag::kLrs);
-    iaux.c_status.publish(self, hflag::kLcs);
-
-    // Steps 2.A/2.B: the look-back walks, in Wide.
-    Wide* grs_left = warena.grs_left();
-    std::fill(grs_left, grs_left + P, Wide{});
-    if (tj > 0) {
-      const std::size_t d = lookback_accumulate(
-          iaux.r_status, iaux.lrs.get(), iaux.grs.get(), w, tj, P, grs_left,
-          hflag::kLrs, hflag::kGrs, obs,
-          [&](std::size_t k) { return grid.idx(ti, tj - 1 - k); });
-#if SATLIB_OBS_ENABLED
-      if (obs.depth != nullptr) obs.depth->record(d);
-#else
-      (void)d;
-#endif
+    for (; p < P; ++p) {
+      lrs[p] = simd_row_scan_acc(&src(r0 + p, c0), acc, tilebuf + p * w, Q,
+                                 T{}, /*allow_stream=*/false);
+      track_rows(p, 1);
     }
-    for (std::size_t p = 0; p < P; ++p)
-      grs_self[p] = grs_left[p] + lrs_self[p];
-    iaux.r_status.publish(self, hflag::kGrs);
 
-    Wide* gcs_up = warena.gcs_up();
-    std::fill(gcs_up, gcs_up + Q, Wide{});
-    if (ti > 0) {
-      const std::size_t d = lookback_accumulate(
-          iaux.c_status, iaux.lcs.get(), iaux.gcs.get(), w, ti, Q, gcs_up,
-          hflag::kLcs, hflag::kGcs, obs,
-          [&](std::size_t k) { return grid.idx(ti - 1 - k, tj); });
-#if SATLIB_OBS_ENABLED
-      if (obs.depth != nullptr) obs.depth->record(d);
-#else
-      (void)d;
-#endif
-    }
-    for (std::size_t q = 0; q < Q; ++q)
-      gcs_self[q] = gcs_up[q] + lcs_self[q];
-    iaux.c_status.publish(self, hflag::kGcs);
+    const auto in = iaux.wait_neighbours(grid, ti, tj, obs);
+    const Wide* grs_in = in.grs;
+    const Wide* gcs_in = in.gcs;
 
-    // Step 3: GLS, then the diagonal walk for GS.
-    Wide gls_val{};
-    for (std::size_t p = 0; p < P; ++p)
-      gls_val += grs_left[p] + lrs_self[p];
-    for (std::size_t q = 0; q < Q; ++q) gls_val += gcs_up[q];
-    iaux.gls[self] = gls_val;
-    iaux.r_status.publish(self, hflag::kGls);
-
-    Wide gs_corner{};
-    if (ti > 0 && tj > 0) {
-      const std::size_t d = lookback_accumulate(
-          iaux.r_status, iaux.gls.get(), iaux.gs.get(), 1, std::min(ti, tj),
-          1, &gs_corner, hflag::kGls, hflag::kGs, obs,
-          [&](std::size_t k) { return grid.idx(ti - 1 - k, tj - 1 - k); });
-#if SATLIB_OBS_ENABLED
-      if (obs.depth != nullptr) obs.depth->record(d);
-#else
-      (void)d;
-#endif
-    }
-    iaux.gs[self] = gs_corner + gls_val;
-    iaux.r_status.publish(self, hflag::kGs);
-
-    // Step 4′: instead of the dense fix-up store, emit the tile in
-    // base+residual form. The look-back path's band prefix IS RowBand and
-    // its offset row IS ColBand (sat/storage.hpp header).
+    // RowBand(p) = Σ GRS(I,J−1)[0..p]; ColBand(q) = GS(I−1,J−1) +
+    // Σ GCS(I−1,J)[0..q] (sat/storage.hpp header).
     Wide* row_band = warena.acc();
-    Wide* col_band = warena.offrow();
+    Wide* col_band = warena.aux();
     {
       Wide run{};
-      for (std::size_t p = 0; p < P; ++p) {
-        run += grs_left[p];
-        row_band[p] = run;
+      for (std::size_t k = 0; k < P; ++k) {
+        run += grs_in != nullptr ? grs_in[k] : Wide{};
+        row_band[k] = run;
       }
     }
     {
-      Wide run = gs_corner;
+      Wide run = in.corner;
       for (std::size_t q = 0; q < Q; ++q) {
-        run += gcs_up[q];
+        run += gcs_in != nullptr ? gcs_in[q] : Wide{};
         col_band[q] = run;
       }
     }
+    // Publish before the encode: the neighbours need only these sums, so
+    // the encode's output traffic stays off their dependency chain.
+    // GRS = left GRS + own row sums, GCS = upper GCS + own bottom-row
+    // differences, GS = the tile's bottom-right table value.
+    Wide* grs_self = iaux.grs.get() + iaux.vec_base(self);
+    Wide* gcs_self = iaux.gcs.get() + iaux.vec_base(self);
+    for (std::size_t k = 0; k < P; ++k)
+      grs_self[k] = (grs_in != nullptr ? grs_in[k] : Wide{}) +
+                    static_cast<Wide>(lrs[k]);
+    const T* bottom = tilebuf + (P - 1) * w;
+    for (std::size_t q = 0; q < Q; ++q) {
+      const Wide lcs = q == 0 ? static_cast<Wide>(bottom[0])
+                              : static_cast<Wide>(bottom[q]) -
+                                    static_cast<Wide>(bottom[q - 1]);
+      gcs_self[q] = (gcs_in != nullptr ? gcs_in[q] : Wide{}) + lcs;
+    }
+    iaux.gs[self] =
+        col_band[Q - 1] + row_band[P - 1] + static_cast<Wide>(bottom[Q - 1]);
+    iaux.status.publish(self, hflag::kDone);
+
     out.encode_tile(out.tile_index(ti, tj), tilebuf, w, P, Q, row_band,
                     col_band, mn, mx, allow_stream);
 
 #if SATLIB_OBS_ENABLED
     if (obs.tiles_retired != nullptr) obs.tiles_retired->add();
+    if (obs.fastpath_tiles != nullptr && !in.waited)
+      obs.fastpath_tiles->add();
     if (opt.trace != nullptr) {
       char args[112];
       std::snprintf(

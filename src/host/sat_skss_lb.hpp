@@ -1,5 +1,6 @@
-// Host 1R1W-SKSS-LB: the paper's single-kernel decoupled-look-back SAT (§IV)
-// on CPU worker threads.
+// Host 1R1W-SKSS-LB engine: the paper's single-kernel tiled SAT (§IV) on
+// CPU worker threads, with the 1R1W-SKSS neighbour wait (Funasaka et al.,
+// the paper's [15]) as its tile protocol.
 //
 // Why this engine exists: SAT is memory-bound, so every extra sweep over the
 // matrix is pure wasted DRAM traffic. The repo's two earlier multithreaded
@@ -10,9 +11,25 @@
 // self-assigning tiles in diagonal-major serial order
 //   σ(I,J) = (I+J)(I+J+1)/2 + I                        (Figure 9),
 // computing each tile's SAT with the fused SIMD kernels in one read and one
-// write over the matrix, and resolving the left / top / diagonal prefixes by
-// walking per-tile status flags (LOCAL → GLOBAL publication, lookback.hpp)
-// instead of a barrier between passes.
+// write over the matrix, and taking the left / top / corner prefixes from
+// the neighbours' published sums (lookback.hpp) instead of a barrier
+// between passes.
+//
+// Per tile: wait until the left and the upper neighbour are DONE, then run
+// one fused sweep straight into dst, seeded with their prefixes — row p's
+// carry-in is GRS(I,J−1)[p], the accumulator row starts at the inclusive
+// prefix of GCS(I−1,J) plus GS(I−1,J−1). GRS falls out as the row carries,
+// GCS by differencing the (cache-hot) bottom output row, GS is the
+// bottom-right output; then DONE is released. Every tile adds in the same
+// order whatever the worker count or timing, so results depend only on the
+// input, the shape and W (bitwise, for floating-point T too).
+//
+// Why not the paper's look-back on the host: it earns its keep with
+// thousands of resident blocks on dependency chains 2·n/W tiles long. Here
+// a few workers cover a few tile columns, a wait is short, and a second
+// (look-back) path would only cost a W² staging pass and make f32 results
+// timing-dependent. docs/host_engine.md §3 has the measurements; the
+// look-back stays in the gpusim reproduction.
 //
 // Scheduling: serials are handed out as per-worker contiguous claim ranges
 // drawn off a shared cursor, popped front-to-back, with tail-half work
@@ -21,8 +38,8 @@
 // what the deadlock-freedom induction below needs — while claims touch a
 // worker-private cache line instead of storming one global counter.
 //
-// Deadlock-freedom with a finite thread pool: every look-back dependency of
-// T(I,J) points to a tile with a strictly smaller serial. Ranges are drawn
+// Deadlock-freedom with a finite thread pool: both neighbour waits of
+// T(I,J) point to a tile with a strictly smaller serial. Ranges are drawn
 // only by running workers and each (sub-)range is consumed in increasing
 // serial order, so the worker owning the globally smallest unfinished
 // serial is currently at that serial — all its dependencies are finished
@@ -40,19 +57,6 @@
 // per-tile flags *within* each image. Dependencies still point at strictly
 // smaller global serials (same image, smaller local serial), so the
 // deadlock argument is untouched.
-//
-// Two per-tile paths, identical results:
-//   - fast path: all predecessors already GLOBAL when the tile is claimed
-//     (always true for 1 worker, the common case under mild contention).
-//     The tile is computed *directly* into dst in one fused sweep seeded
-//     with the predecessors' prefixes; GRS falls out as the row carries,
-//     GCS by differencing the (cache-hot) bottom output row, GS is the
-//     bottom-right output. The terminal flags are published in one shot.
-//   - look-back path (the paper's steps): compute the tile's LOCAL SAT into
-//     a cache-resident buffer (1), publish LRS/LCS (2.A.1/2.B.1), walk left
-//     for GRS (2.A.2–3), up for GCS (2.B.2–3), publish GLS (3.1), walk the
-//     diagonal for GS (3.2–3.3), then add the three prefixes during the
-//     single store to dst (4). dst is still written exactly once.
 #pragma once
 
 #include <algorithm>
@@ -89,7 +93,7 @@ struct SkssLbOptions {
   /// exceed the pool size (extra workers queue; see ThreadPool::
   /// run_persistent) — correctness never depends on the count.
   std::size_t workers = 0;
-  /// Optional observability (not owned): host.lookback.{depth,flag_wait_us,
+  /// Optional observability (not owned): host.lookback.{flag_wait_us,
   /// tiles_retired,fastpath_tiles,steals,stolen_tiles,overlap_tiles,
   /// range_tiles} metrics and one trace span per tile.
   obs::Registry* metrics = nullptr;
@@ -102,41 +106,14 @@ struct SkssLbOptions {
   /// Kahan-compensate the column accumulation inside each tile sweep
   /// (Storage::kKahanF32). Floating-point T only. The compensation row
   /// resets at tile boundaries — the residue a tile hands to the one below
-  /// travels through the GCS flags uncompensated — so the error bound is
-  /// O(tiles per column) ulp instead of kahan's O(1), still far below the
+  /// travels through the published GCS uncompensated — so the error bound
+  /// is O(tiles per column) ulp instead of kahan's O(1), still far below the
   /// O(rows) ulp of plain f32 accumulation. Uses the 1-deep row kernel
-  /// (the register-blocked variants have no compensated form).
+  /// (the register-blocked variant has no compensated form).
   bool kahan = false;
 };
 
 namespace detail {
-
-/// dst[j] = a[j] + b + off[j] for j in [0, n) — the look-back path's fix-up
-/// store (tile-local SAT + row-band prefix + column-band/corner prefix).
-/// Streams through non-temporal stores when allowed and aligned, mirroring
-/// simd_row_scan_acc's gating.
-template <class T>
-void simd_offset_store(const T* a, const T* off, T b, T* dst, std::size_t n,
-                       bool allow_stream) {
-  using V = satsimd::Vec<T>;
-  std::size_t j = 0;
-  if (n >= V::width) {
-    const V vb = V::broadcast(b);
-    const bool stream =
-        allow_stream &&
-        reinterpret_cast<std::uintptr_t>(dst) % (V::width * sizeof(T)) == 0;
-    auto loop = [&](auto streamed) {
-      for (; j + V::width <= n; j += V::width) {
-        const V out = V::load(a + j) + vb + V::load(off + j);
-        if constexpr (decltype(streamed)::value) out.store_stream(dst + j);
-        else out.store(dst + j);
-      }
-    };
-    if (stream) loop(std::true_type{});
-    else loop(std::false_type{});
-  }
-  for (; j < n; ++j) dst[j] = a[j] + b + off[j];
-}
 
 /// Bytes per OS page, for the first-touch arena placement below.
 inline constexpr std::size_t kPageBytes = 4096;
@@ -145,28 +122,28 @@ inline constexpr std::size_t kPageBytes = 4096;
 /// worker thread. Under the first-touch NUMA policy the OS backs a page on
 /// the node of the thread that first *writes* it, so the arena is
 /// constructed inside the worker body and faults its own pages there —
-/// both the prefix rows and the (lazy) W² tile buffer land on the worker's
-/// node. Page alignment keeps one worker's scratch from sharing a page
-/// (and hence a placement decision, or a false-shared tail line) with a
-/// peer's. The tile buffer is W² elements and is allocated only on the
-/// first slow-path tile — a worker whose every tile takes the fast path
-/// (always true with one worker) never touches it.
+/// both the W-element rows and the (lazy) W² tile buffer land on the
+/// worker's node. Page alignment keeps one worker's scratch from sharing a
+/// page (and hence a placement decision, or a false-shared tail line) with
+/// a peer's. The tile buffer is W² elements and is allocated on first use:
+/// only the residual encoder stages tiles (sat_residual.hpp); the dense
+/// engine sweeps straight into dst and never touches it.
 template <class T>
 class TileArena {
   static_assert(std::is_arithmetic_v<T>,
                 "arena scratch is zero-filled bytewise");
 
  public:
-  explicit TileArena(std::size_t w) : w_(w), rows_(alloc_touched(5 * w)) {}
+  explicit TileArena(std::size_t w) : w_(w), rows_(alloc_touched(2 * w)) {}
 
+  /// The W-element column accumulator row.
   T* acc() noexcept { return rows_.get(); }
-  T* grs_left() noexcept { return rows_.get() + w_; }
-  T* gcs_up() noexcept { return rows_.get() + 2 * w_; }
-  T* offrow() noexcept { return rows_.get() + 3 * w_; }
-  /// Kahan compensation row (SkssLbOptions::kahan); zeroed per tile.
-  T* comp() noexcept { return rows_.get() + 4 * w_; }
+  /// A second W-element row: the Kahan compensation row of the dense
+  /// engine (SkssLbOptions::kahan; zeroed per tile), the row-carry or
+  /// band row of the residual encoder.
+  T* aux() noexcept { return rows_.get() + w_; }
 
-  /// The W² tile buffer, faulted on first slow-path use.
+  /// The W² tile buffer, faulted on first use.
   T* tile() {
     if (tile_ == nullptr) tile_ = alloc_touched(w_ * w_);
     return tile_.get();
@@ -203,9 +180,8 @@ class TileArena {
 /// behind the draining tail of image k (see the header comment). All images
 /// must share one shape; each `dsts[b]` must match it and not alias its
 /// source. Results are exact for integral T; floating-point results differ
-/// from the sequential oracle only by association order (the look-back
-/// path's accumulation order depends on predecessor timing, like the
-/// device algorithm).
+/// from the sequential oracle only by association order, which W fixes:
+/// they do not depend on the worker count or on timing.
 template <class T>
 void sat_skss_lb_batch(ThreadPool& pool,
                        const std::vector<satutil::Span2d<const T>>& srcs,
@@ -270,267 +246,83 @@ void sat_skss_lb_batch(ThreadPool& pool,
 #if SATLIB_OBS_ENABLED
     const double ts = opt.trace != nullptr ? opt.trace->now_host_us() : 0.0;
 #endif
-    T* acc = arena.acc();
-
     const auto [ti, tj] = grid.tile_of_serial(local);
     const std::size_t self = grid.idx(ti, tj);
     const std::size_t r0 = ti * w, c0 = tj * w;
     const std::size_t P = std::min(w, rows - r0);  // tile rows
     const std::size_t Q = std::min(w, cols - c0);  // tile cols
-    const std::size_t left = tj > 0 ? grid.idx(ti, tj - 1) : 0;
-    const std::size_t up = ti > 0 ? grid.idx(ti - 1, tj) : 0;
-    const std::size_t diag = (ti > 0 && tj > 0) ? grid.idx(ti - 1, tj - 1)
-                                                : 0;
+
+    const auto in = iaux.wait_neighbours(grid, ti, tj, obs);
+    const T* grs_in = in.grs;
+    const T* gcs_in = in.gcs;
+    const T corner = in.corner;
+
+    // One fused sweep straight into dst, seeded with the neighbours'
+    // prefixes, so each output element is final as it is stored.
     T* grs_self = iaux.grs.get() + iaux.vec_base(self);
     T* gcs_self = iaux.gcs.get() + iaux.vec_base(self);
-    // Runtime depth heuristic for the register-blocked row sweep; both
-    // depths are bit-equal to chained 1-row calls, so edge tiles with a
-    // shorter Q than their neighbors still produce exact results.
-    const bool deep = simd_row_block<T>(Q) == 8;
-
-    const bool fast =
-        (tj == 0 || iaux.r_status.peek(left) >= hflag::kGrs) &&
-        (ti == 0 || iaux.c_status.peek(up) >= hflag::kGcs) &&
-        (ti == 0 || tj == 0 || iaux.r_status.peek(diag) >= hflag::kGs);
-
-    if (fast) {
-      // Every prefix is already GLOBAL: one fused sweep straight into
-      // dst, seeded with the predecessors' prefixes. Row p's carry-in is
-      // GRS(I,J−1)[p]; the accumulator row starts at the inclusive
-      // prefix of GCS(I−1,J) plus GS(I−1,J−1), so each output element is
-      // final as it is stored.
-      const T* grs_in =
-          tj > 0 ? iaux.grs.get() + iaux.vec_base(left) : nullptr;
-      const T* gcs_in =
-          ti > 0 ? iaux.gcs.get() + iaux.vec_base(up) : nullptr;
-      const T corner = (ti > 0 && tj > 0) ? iaux.gs[diag] : T{};
-      T band_left{};  // Σ GRS(I,J−1) — SAT(r1, c0−1) together with corner
-      {
-        T run = corner;
-        for (std::size_t q = 0; q < Q; ++q) {
-          run += gcs_in != nullptr ? gcs_in[q] : T{};
-          acc[q] = run;
-        }
-      }
-      std::size_t p = 0;
-      if constexpr (std::is_floating_point_v<T>) {
-        if (opt.kahan) {
-          // Compensated sweep: 1-deep rows only; comp resets per tile (the
-          // residue crossing to the tile below is dropped, see the option's
-          // comment). Leaves p == P, so the blocked loops below no-op.
-          T* comp = arena.comp();
-          std::fill(comp, comp + Q, T{});
-          for (; p < P; ++p) {
-            const T carry_in = grs_in != nullptr ? grs_in[p] : T{};
-            band_left += carry_in;
-            grs_self[p] =
-                kahan_row_scan_acc(&src(r0 + p, c0), acc, comp,
-                                   &dst(r0 + p, c0), Q, carry_in,
-                                   allow_stream);
-          }
-        }
-      }
-      if (deep) {
-        for (; p + 8 <= P; p += 8) {
-          const T* srows[8];
-          T* drows[8];
-          T carries[8];
-          for (std::size_t k = 0; k < 8; ++k) {
-            srows[k] = &src(r0 + p + k, c0);
-            drows[k] = &dst(r0 + p + k, c0);
-            carries[k] = grs_in != nullptr ? grs_in[p + k] : T{};
-            band_left += carries[k];
-          }
-          simd_row_scan_acc8(srows, acc, drows, Q, carries, allow_stream);
-          for (std::size_t k = 0; k < 8; ++k) grs_self[p + k] = carries[k];
-        }
-      }
-      for (; p + 4 <= P; p += 4) {
-        const T* srows[4] = {&src(r0 + p, c0), &src(r0 + p + 1, c0),
-                             &src(r0 + p + 2, c0), &src(r0 + p + 3, c0)};
-        T* drows[4] = {&dst(r0 + p, c0), &dst(r0 + p + 1, c0),
-                       &dst(r0 + p + 2, c0), &dst(r0 + p + 3, c0)};
-        T carries[4];
-        for (std::size_t k = 0; k < 4; ++k) {
-          carries[k] = grs_in != nullptr ? grs_in[p + k] : T{};
-          band_left += carries[k];
-        }
-        simd_row_scan_acc4(srows, acc, drows, Q, carries, allow_stream);
-        for (std::size_t k = 0; k < 4; ++k) grs_self[p + k] = carries[k];
-      }
-      for (; p < P; ++p) {
-        const T carry_in = grs_in != nullptr ? grs_in[p] : T{};
-        band_left += carry_in;
-        grs_self[p] = simd_row_scan_acc(&src(r0 + p, c0), acc,
-                                        &dst(r0 + p, c0), Q, carry_in,
-                                        allow_stream);
-      }
-      // acc now holds the tile's bottom output row: GCS by differencing
-      // (exact for integral T), GS is its last entry.
-      gcs_self[0] = acc[0] - (band_left + corner);
-      for (std::size_t q = 1; q < Q; ++q)
-        gcs_self[q] = acc[q] - acc[q - 1];
-      iaux.gs[self] = acc[Q - 1];
-      // Flags are monotone: publishing the terminal states directly is
-      // indistinguishable from a fast publisher (no waiter can observe
-      // the skipped LOCAL/GLS states).
-      iaux.r_status.publish(self, hflag::kGs);
-      iaux.c_status.publish(self, hflag::kGcs);
-#if SATLIB_OBS_ENABLED
-      if (obs.fastpath_tiles != nullptr) {
-        obs.fastpath_tiles->add();
-        if (tj > 0) obs.depth->record(1);
-        if (ti > 0) obs.depth->record(1);
-        if (ti > 0 && tj > 0) obs.depth->record(1);
-      }
-#endif
-    } else {
-      T* tilebuf = arena.tile();
-      T* lrs_self = iaux.lrs.get() + iaux.vec_base(self);
-      T* lcs_self = iaux.lcs.get() + iaux.vec_base(self);
-
-      // Step 1: the tile's LOCAL SAT into the cache-resident buffer; the
-      // row carries are LRS, the bottom row's differences are LCS.
-      std::fill(acc, acc + Q, T{});
-      {
-        std::size_t p = 0;
-        if constexpr (std::is_floating_point_v<T>) {
-          if (opt.kahan) {
-            T* comp = arena.comp();
-            std::fill(comp, comp + Q, T{});
-            for (; p < P; ++p)
-              lrs_self[p] = kahan_row_scan_acc(&src(r0 + p, c0), acc, comp,
-                                               tilebuf + p * w, Q, T{},
-                                               /*allow_stream=*/false);
-          }
-        }
-        if (deep) {
-          for (; p + 8 <= P; p += 8) {
-            const T* srows[8];
-            T* brows[8];
-            T carries[8] = {};
-            for (std::size_t k = 0; k < 8; ++k) {
-              srows[k] = &src(r0 + p + k, c0);
-              brows[k] = tilebuf + (p + k) * w;
-            }
-            simd_row_scan_acc8(srows, acc, brows, Q, carries,
-                               /*allow_stream=*/false);
-            for (std::size_t k = 0; k < 8; ++k) lrs_self[p + k] = carries[k];
-          }
-        }
-        for (; p + 4 <= P; p += 4) {
-          const T* srows[4] = {&src(r0 + p, c0), &src(r0 + p + 1, c0),
-                               &src(r0 + p + 2, c0), &src(r0 + p + 3, c0)};
-          T* brows[4] = {tilebuf + p * w, tilebuf + (p + 1) * w,
-                         tilebuf + (p + 2) * w, tilebuf + (p + 3) * w};
-          T carries[4] = {T{}, T{}, T{}, T{}};
-          simd_row_scan_acc4(srows, acc, brows, Q, carries,
-                             /*allow_stream=*/false);
-          for (std::size_t k = 0; k < 4; ++k) lrs_self[p + k] = carries[k];
-        }
-        for (; p < P; ++p)
-          lrs_self[p] =
-              simd_row_scan_acc(&src(r0 + p, c0), acc,
-                                tilebuf + p * w, Q, T{},
-                                /*allow_stream=*/false);
-      }
-      const T* bottom = tilebuf + (P - 1) * w;
-      lcs_self[0] = bottom[0];
-      for (std::size_t q = 1; q < Q; ++q)
-        lcs_self[q] = bottom[q] - bottom[q - 1];
-
-      // Steps 2.A.1 / 2.B.1: publish the LOCAL sums.
-      iaux.r_status.publish(self, hflag::kLrs);
-      iaux.c_status.publish(self, hflag::kLcs);
-
-      // Steps 2.A.2–3: look back leftwards for GRS(I,J−1) (Figure 10).
-      T* grs_left = arena.grs_left();
-      std::fill(grs_left, grs_left + P, T{});
-      if (tj > 0) {
-        const std::size_t d = lookback_accumulate(
-            iaux.r_status, iaux.lrs.get(), iaux.grs.get(), w, tj, P,
-            grs_left, hflag::kLrs, hflag::kGrs, obs,
-            [&](std::size_t k) { return grid.idx(ti, tj - 1 - k); });
-#if SATLIB_OBS_ENABLED
-        if (obs.depth != nullptr) obs.depth->record(d);
-#else
-        (void)d;
-#endif
-      }
-      for (std::size_t p = 0; p < P; ++p)
-        grs_self[p] = grs_left[p] + lrs_self[p];
-      iaux.r_status.publish(self, hflag::kGrs);
-
-      // Steps 2.B.2–3: the same look-back upwards for GCS(I−1,J).
-      T* gcs_up = arena.gcs_up();
-      std::fill(gcs_up, gcs_up + Q, T{});
-      if (ti > 0) {
-        const std::size_t d = lookback_accumulate(
-            iaux.c_status, iaux.lcs.get(), iaux.gcs.get(), w, ti, Q,
-            gcs_up, hflag::kLcs, hflag::kGcs, obs,
-            [&](std::size_t k) { return grid.idx(ti - 1 - k, tj); });
-#if SATLIB_OBS_ENABLED
-        if (obs.depth != nullptr) obs.depth->record(d);
-#else
-        (void)d;
-#endif
-      }
-      for (std::size_t q = 0; q < Q; ++q)
-        gcs_self[q] = gcs_up[q] + lcs_self[q];
-      iaux.c_status.publish(self, hflag::kGcs);
-
-      // Step 3.1: GLS(I,J), the L-shaped band sum (Figure 11).
-      T gls_val{};
-      for (std::size_t p = 0; p < P; ++p)
-        gls_val += grs_left[p] + lrs_self[p];
-      for (std::size_t q = 0; q < Q; ++q) gls_val += gcs_up[q];
-      iaux.gls[self] = gls_val;
-      iaux.r_status.publish(self, hflag::kGls);
-
-      // Steps 3.2–3.3: diagonal look-back for GS(I−1,J−1); GS telescopes
-      // into ΣGLS, and a border tile's GLS equals its GS, so the walk
-      // terminates at k = min(I,J) even if no GS is published yet.
-      T gs_corner{};
-      if (ti > 0 && tj > 0) {
-        const std::size_t d = lookback_accumulate(
-            iaux.r_status, iaux.gls.get(), iaux.gs.get(), 1,
-            std::min(ti, tj), 1, &gs_corner, hflag::kGls, hflag::kGs, obs,
-            [&](std::size_t k) { return grid.idx(ti - 1 - k, tj - 1 - k); });
-#if SATLIB_OBS_ENABLED
-        if (obs.depth != nullptr) obs.depth->record(d);
-#else
-        (void)d;
-#endif
-      }
-      iaux.gs[self] = gs_corner + gls_val;
-      iaux.r_status.publish(self, hflag::kGs);
-
-      // Step 4: the single store to dst, prefixes folded in on the way
-      // out: dst = local SAT + row-band prefix + column-band/corner row.
-      T* offrow = arena.offrow();
-      {
-        T run = gs_corner;
-        for (std::size_t q = 0; q < Q; ++q) {
-          run += gcs_up[q];
-          offrow[q] = run;
-        }
-      }
-      T band{};
-      for (std::size_t p = 0; p < P; ++p) {
-        band += grs_left[p];
-        detail::simd_offset_store(tilebuf + p * w, offrow,
-                                  band, &dst(r0 + p, c0), Q, allow_stream);
+    T* acc = arena.acc();
+    T band_left{};  // Σ GRS(I,J−1) — SAT(r1, c0−1) together with corner
+    {
+      T run = corner;
+      for (std::size_t q = 0; q < Q; ++q) {
+        run += gcs_in != nullptr ? gcs_in[q] : T{};
+        acc[q] = run;
       }
     }
+    std::size_t p = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      if (opt.kahan) {
+        // Compensated sweep: 1-deep rows only; comp resets per tile (the
+        // residue crossing to the tile below is dropped, see the option's
+        // comment). Leaves p == P, so the blocked loops below no-op.
+        T* comp = arena.aux();
+        std::fill(comp, comp + Q, T{});
+        for (; p < P; ++p) {
+          const T carry_in = grs_in != nullptr ? grs_in[p] : T{};
+          band_left += carry_in;
+          grs_self[p] = kahan_row_scan_acc(&src(r0 + p, c0), acc, comp,
+                                           &dst(r0 + p, c0), Q, carry_in,
+                                           allow_stream);
+        }
+      }
+    }
+    for (; p + 4 <= P; p += 4) {
+      const T* srows[4] = {&src(r0 + p, c0), &src(r0 + p + 1, c0),
+                           &src(r0 + p + 2, c0), &src(r0 + p + 3, c0)};
+      T* drows[4] = {&dst(r0 + p, c0), &dst(r0 + p + 1, c0),
+                     &dst(r0 + p + 2, c0), &dst(r0 + p + 3, c0)};
+      T carries[4];
+      for (std::size_t k = 0; k < 4; ++k) {
+        carries[k] = grs_in != nullptr ? grs_in[p + k] : T{};
+        band_left += carries[k];
+      }
+      simd_row_scan_acc4(srows, acc, drows, Q, carries, allow_stream);
+      for (std::size_t k = 0; k < 4; ++k) grs_self[p + k] = carries[k];
+    }
+    for (; p < P; ++p) {
+      const T carry_in = grs_in != nullptr ? grs_in[p] : T{};
+      band_left += carry_in;
+      grs_self[p] = simd_row_scan_acc(&src(r0 + p, c0), acc, &dst(r0 + p, c0),
+                                      Q, carry_in, allow_stream);
+    }
+    // acc now holds the tile's bottom output row: GCS by differencing
+    // (exact for integral T), GS is its last entry.
+    gcs_self[0] = acc[0] - (band_left + corner);
+    for (std::size_t q = 1; q < Q; ++q) gcs_self[q] = acc[q] - acc[q - 1];
+    iaux.gs[self] = acc[Q - 1];
+    iaux.status.publish(self, hflag::kDone);
 
 #if SATLIB_OBS_ENABLED
     if (obs.tiles_retired != nullptr) obs.tiles_retired->add();
+    if (obs.fastpath_tiles != nullptr && !in.waited)
+      obs.fastpath_tiles->add();
     if (opt.trace != nullptr) {
       char args[112];
       std::snprintf(
           args, sizeof args,
           "{\"serial\":%zu,\"ti\":%zu,\"tj\":%zu,\"img\":%zu,\"fast\":%d}",
-          local, ti, tj, img, fast ? 1 : 0);
+          local, ti, tj, img, in.waited ? 0 : 1);
       opt.trace->complete(trace_pid, worker_index, "tile", "host",
                           ts, opt.trace->now_host_us() - ts, args);
     }
@@ -559,7 +351,7 @@ void sat_skss_lb_batch(ThreadPool& pool,
       // unpublished. A metric, not a gate — tiles of different images
       // share no data.
       if (obs.overlap_tiles != nullptr && img > 0 &&
-          aux[img - 1].r_status.peek(tpi - 1) < hflag::kGs)
+          aux[img - 1].status.peek(tpi - 1) < hflag::kDone)
         ++overlap_count[worker_index];
 #endif
       process_tile(aux[img], srcs[img], dsts[img], local, img, worker_index,

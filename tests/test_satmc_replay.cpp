@@ -2,26 +2,26 @@
 // real host protocol primitives.
 //
 // The static model checker (tools/satmc) and the dynamic interleaving
-// explorer (tests/test_interleave.cpp) verify the same 1R1W-SKSS-LB
-// protocol through entirely different lenses; this test welds them
+// explorer (tests/test_interleave.cpp) verify the same host tile protocol
+// (the neighbour wait) through entirely different lenses; this test welds them
 // together. ctest's satmc_emit_ce fixture runs
 //
 //   satmc --grid 2x2 --workers 2 --mutate sigma-order-inversion
 //         --emit-schedule satmc_ce.json
 //
 // and this test re-executes that schedule against a miniature engine built
-// from the *real* src/host pieces — StatusFlags, lookback_accumulate, the
-// shared TileGrid serial order — with satmc's σ-inversion seeded into the
-// claim counter. The dynamic run must reproduce the statically predicted
+// from the *real* src/host pieces — StatusFlags::wait_at_least, the shared
+// TileGrid serial order — with satmc's σ-inversion seeded into the claim
+// counter. The dynamic run must reproduce the statically predicted
 // violation: a genuine cross-worker deadlock whose blocked waits match the
-// "blocked" contract in the JSON (same axes, tiles and thresholds). If the
+// "blocked" contract in the JSON (same workers, tiles and thresholds). If the
 // model and the code ever disagree about what this schedule does, one of
 // them is wrong about the protocol — exactly the drift this test exists to
 // catch.
 //
-// Schedule granularity: a satmc step is a *fused* protocol step (one
-// observe plus the publish chain behind it), while the hook layer parks at
-// every claim/observe/publish. The driver therefore grants the step's
+// Schedule granularity: a satmc schedule also lists the model's eager steps
+// and claim bookkeeping, while the hook layer parks at every
+// claim/observe/publish. The test therefore grants the step's
 // worker repeatedly until it blocks or reaches its next claim — claim
 // order, the only scheduling decision this counterexample depends on, is
 // followed exactly; within a tile the worker just runs its straight-line
@@ -84,7 +84,6 @@ std::vector<std::string> json_objects(const std::string& s,
 
 struct CeBlocked {
   std::size_t worker, tile;
-  char axis;
   std::uint8_t want;
 };
 
@@ -105,7 +104,6 @@ CeSchedule parse_ce(const std::string& text) {
   for (const std::string& o : json_objects(text, "blocked"))
     ce.blocked.push_back({static_cast<std::size_t>(json_int(o, "worker")),
                           static_cast<std::size_t>(json_int(o, "tile")),
-                          json_str(o, "axis")[0],
                           static_cast<std::uint8_t>(json_int(o, "want"))});
   // A tile grant is a "pops serial" step. The scheduler's other claim-round
   // outcomes (range draws, steals, exits) are bookkeeping with no mini-engine
@@ -118,11 +116,11 @@ CeSchedule parse_ce(const std::string& text) {
 }
 
 // ── The miniature mutated engine ──────────────────────────────────────
-// The real per-tile protocol of src/host/sat_skss_lb.hpp — same fast-path
-// guard peeks, same publish order, same lookback_accumulate walks over the
-// real StatusFlags — with satmc's sigma-order-inversion seeded into the
-// claim: serials are handed out in *decreasing* diagonal-major order.
-// The engine proper claims through chunked per-worker ranges
+// The real per-tile protocol of src/host/sat_skss_lb.hpp — the same two
+// neighbour waits through the real StatusFlags::wait_at_least, the same
+// DONE publish — with satmc's sigma-order-inversion seeded into the claim:
+// serials are handed out in *decreasing* diagonal-major order. The engine
+// proper claims through chunked per-worker ranges
 // (sathost::ClaimScheduler); a plain shared counter replays the emitted
 // schedule faithfully because its pops are refills popped in cursor order,
 // so the n-th granted serial is tiles-1-n either way.
@@ -139,63 +137,26 @@ struct MiniEngine {
     // written before its flag releases it), but the deadlock-unwind path
     // below reads slots of tiles nobody claimed — zero them here.
     const std::size_t n = grid.count();
-    std::fill(aux.lrs.get(), aux.lrs.get() + n, 0);
     std::fill(aux.grs.get(), aux.grs.get() + n, 0);
-    std::fill(aux.lcs.get(), aux.lcs.get() + n, 0);
     std::fill(aux.gcs.get(), aux.gcs.get() + n, 0);
-    std::fill(aux.gls.get(), aux.gls.get() + n, 0);
     std::fill(aux.gs.get(), aux.gs.get() + n, 0);
   }
 
   void process_tile(std::size_t ti, std::size_t tj) {
     namespace hflag = sathost::hflag;
     const std::size_t self = grid.idx(ti, tj);
-    bool fast = true;
     if (tj > 0)
-      fast = aux.r_status.peek(grid.idx(ti, tj - 1)) >= hflag::kGrs;
-    if (fast && ti > 0)
-      fast = aux.c_status.peek(grid.idx(ti - 1, tj)) >= hflag::kGcs;
-    if (fast && ti > 0 && tj > 0)
-      fast = aux.r_status.peek(grid.idx(ti - 1, tj - 1)) >= hflag::kGs;
-    if (fast) {
-      aux.grs[self] = aux.gcs[self] = aux.gs[self] = 1;
-      aux.r_status.publish(self, hflag::kGs);
-      aux.c_status.publish(self, hflag::kGcs);
-      return;
-    }
-    aux.lrs[self] = aux.lcs[self] = 1;
-    aux.r_status.publish(self, hflag::kLrs);
-    aux.c_status.publish(self, hflag::kLcs);
-
-    long long row = 0;
-    if (tj > 0)
-      sathost::lookback_accumulate(
-          aux.r_status, aux.lrs.get(), aux.grs.get(), 1, tj, 1, &row,
-          hflag::kLrs, hflag::kGrs, obs,
-          [&](std::size_t k) { return grid.idx(ti, tj - 1 - k); });
-    aux.grs[self] = row + 1;
-    aux.r_status.publish(self, hflag::kGrs);
-
-    long long col = 0;
+      aux.status.wait_at_least(grid.idx(ti, tj - 1), hflag::kDone, obs);
     if (ti > 0)
-      sathost::lookback_accumulate(
-          aux.c_status, aux.lcs.get(), aux.gcs.get(), 1, ti, 1, &col,
-          hflag::kLcs, hflag::kGcs, obs,
-          [&](std::size_t k) { return grid.idx(ti - 1 - k, tj); });
-    aux.gcs[self] = col + 1;
-    aux.c_status.publish(self, hflag::kGcs);
-
-    aux.gls[self] = row + col + 1;
-    aux.r_status.publish(self, hflag::kGls);
-
-    long long diag = 0;
-    if (ti > 0 && tj > 0)
-      sathost::lookback_accumulate(
-          aux.r_status, aux.gls.get(), aux.gs.get(), 1, std::min(ti, tj), 1,
-          &diag, hflag::kGls, hflag::kGs, obs,
-          [&](std::size_t k) { return grid.idx(ti - 1 - k, tj - 1 - k); });
-    aux.gs[self] = diag + aux.gls[self];
-    aux.r_status.publish(self, hflag::kGs);
+      aux.status.wait_at_least(grid.idx(ti - 1, tj), hflag::kDone, obs);
+    const long long left = tj > 0 ? aux.grs[grid.idx(ti, tj - 1)] : 0;
+    const long long up = ti > 0 ? aux.gcs[grid.idx(ti - 1, tj)] : 0;
+    const long long corner =
+        ti > 0 && tj > 0 ? aux.gs[grid.idx(ti - 1, tj - 1)] : 0;
+    aux.grs[self] = left + 1;
+    aux.gcs[self] = up + 1;
+    aux.gs[self] = corner + left + up + 1;
+    aux.status.publish(self, hflag::kDone);
   }
 
   void worker_body() {
@@ -291,22 +252,29 @@ TEST(SatmcReplay, StaticDeadlockScheduleReproducesDynamically) {
 
   // On the predicted deadlock: capture the blocked waits, then unwind so
   // the threads can exit — exhaust the claim counter (no new tiles) and
-  // satisfy each blocked wait from the driver. σ-inversion deadlocks park
-  // every waiter on a tile nobody claimed (that is the bug), so the
-  // driver's publish of `want` over 0 respects flag monotonicity.
+  // satisfy, from the test thread, each blocked wait on a tile nobody
+  // claimed. σ-inversion hands out the largest serials first, so the
+  // claimed tiles are the top `granted` serials and the lowest claimed one
+  // waits on an unclaimed tile (that is the bug); once it publishes, the
+  // waits on it clear in turn. The test never publishes a claimed tile's
+  // flag, so flag monotonicity holds.
   std::vector<sched::ScheduleExplorer::ParkedWait> seen_blocked;
   bool deadlock_seen = false;
+  std::size_t granted = 0;
   const auto on_deadlock = [&] {
     const auto waits = explorer.blocked_waits();
     if (!deadlock_seen) {
       deadlock_seen = true;
       seen_blocked = waits;
+      granted = std::min(engine.counter.load(std::memory_order_relaxed),
+                         engine.grid.count());
       engine.counter.store(engine.grid.count(), std::memory_order_relaxed);
     }
     for (const auto& bw : waits) {
-      auto& flags = bw.arr == &engine.aux.c_status ? engine.aux.c_status
-                                                   : engine.aux.r_status;
-      explorer.driver_publish(flags, bw.idx, bw.want);
+      const std::size_t gc = engine.grid.g_cols();
+      if (engine.grid.serial(bw.idx / gc, bw.idx % gc) <
+          engine.grid.count() - granted)
+        explorer.driver_publish(engine.aux.status, bw.idx, bw.want);
     }
   };
 
@@ -320,20 +288,19 @@ TEST(SatmcReplay, StaticDeadlockScheduleReproducesDynamically) {
       << "the statically predicted deadlock did not occur dynamically";
 
   // The dynamic blocked set must match the model's contract exactly:
-  // same workers (through the claim-order mapping), same status axis,
-  // same tile, same threshold.
+  // same workers (through the claim-order mapping), same awaited tile,
+  // same threshold, all on the one status array.
   ASSERT_EQ(seen_blocked.size(), ce.blocked.size());
-  std::vector<std::tuple<std::size_t, char, std::size_t, unsigned>> want,
-      got;
+  std::vector<std::tuple<std::size_t, std::size_t, unsigned>> want, got;
   for (const CeBlocked& b : ce.blocked) {
     ASSERT_NE(map[b.worker], kUnmapped)
         << "blocked model worker " << b.worker << " never claimed";
-    want.emplace_back(map[b.worker], b.axis, b.tile, b.want);
+    want.emplace_back(map[b.worker], b.tile, b.want);
   }
-  for (const auto& bw : seen_blocked)
-    got.emplace_back(bw.worker,
-                     bw.arr == &engine.aux.c_status ? 'C' : 'R', bw.idx,
-                     bw.want);
+  for (const auto& bw : seen_blocked) {
+    EXPECT_EQ(bw.arr, &engine.aux.status);
+    got.emplace_back(bw.worker, bw.idx, bw.want);
+  }
   std::sort(want.begin(), want.end());
   std::sort(got.begin(), got.end());
   EXPECT_EQ(want, got)

@@ -83,11 +83,6 @@ std::vector<Record> run_host_benches(bool smoke) {
     out.push_back(time_host("two_pass", n, smoke, [&] {
       sathost::sat_two_pass<float>(src, dst);
     }));
-    // tile=64: the default and the configuration the blocked-vs-sequential
-    // regression case below watches.
-    out.push_back(time_host("blocked", n, smoke, [&] {
-      sathost::sat_blocked<float>(src, dst, 64);
-    }));
     {
       // Instrumented rows: the ledger carries each run's metrics snapshot
       // (accumulated over all timed iterations) next to its timing.
@@ -114,7 +109,7 @@ std::vector<Record> run_host_benches(bool smoke) {
     }
     // The paper's 1R1W-SKSS-LB on the host. The primary row runs the
     // engine's auto tile width (worker-count-scaled) and carries the
-    // look-back metrics snapshot; the fixed-W sweep rows bracket the
+    // tile-protocol metrics snapshot; the fixed-W sweep rows bracket the
     // tile-size tradeoff (per-tile dispatch+flag overhead and lost access
     // locality at small W vs. parallel slack at large W).
     {

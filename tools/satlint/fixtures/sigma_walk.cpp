@@ -1,29 +1,29 @@
-// satlint fixture: a look-back walk whose predecessor lambda steps toward
-// *larger* indices.  Every look-back dependency must point at a strictly
-// smaller serial sigma — claimed-before implies published-eventually, which
-// is the whole deadlock-freedom argument on a finite pool.  Walking forward
-// waits on tiles nobody has claimed yet.
+// satlint fixture: a neighbour wait whose tile index steps toward *larger*
+// indices.  Every wait must target a strictly smaller serial sigma (the
+// left or the upper neighbour) — claimed-before implies published-
+// eventually, which is the whole deadlock-freedom argument on a finite
+// pool.  Waiting on the right neighbour waits on a tile nobody may have
+// claimed yet.
 //
 // satlint-expect: sigma-direction
 #include <cstddef>
 #include <cstdint>
 
 namespace sathost {
-struct StatusFlags;
 struct LookbackObs;
-template <class T, class PredIdx>
-std::size_t lookback_accumulate(const StatusFlags&, const T*, const T*,
-                                std::size_t, std::size_t, std::size_t, T*,
-                                std::uint8_t, std::uint8_t,
-                                const LookbackObs&, PredIdx);
+struct StatusFlags {
+  bool wait_at_least(std::size_t idx, std::uint8_t want,
+                     const LookbackObs& obs) const noexcept;
+};
 }  // namespace sathost
 
-void broken_walk(const sathost::StatusFlags& status, const float* local,
-                 const float* global, std::size_t w, std::size_t tj,
-                 std::size_t p, float* out, const sathost::LookbackObs& obs,
-                 std::size_t ti, std::size_t cols_tiles) {
-  // BUG: `tj + 1 + k` walks right, toward tiles with larger sigma.
-  sathost::lookback_accumulate(
-      status, local, global, w, tj, p, out, 1, 2, obs,
-      [=](std::size_t k) { return ti * cols_tiles + (tj + 1 + k); });
+std::size_t tile_idx(std::size_t ti, std::size_t tj, std::size_t cols_tiles) {
+  return ti * cols_tiles + tj;
+}
+
+void broken_wait(const sathost::StatusFlags& status, std::size_t ti,
+                 std::size_t tj, std::size_t cols_tiles,
+                 const sathost::LookbackObs& obs) {
+  // BUG: `tj + 1` waits on the right neighbour, a tile with larger sigma.
+  status.wait_at_least(tile_idx(ti, tj + 1, cols_tiles), 1, obs);
 }

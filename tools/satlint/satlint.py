@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """satlint — the satlib concurrency-protocol linter (stdlib only).
 
-The host look-back engine is correct only because every flag publish is a
-release store paired with an acquire load and every look-back walk points at
+The host tile engines are correct only because every flag publish is a
+release store paired with an acquire load and every neighbour wait points at
 a strictly smaller serial sigma.  Those invariants live in code review and in
 comments — this tool makes them machine-checked.  It is deliberately
 token/AST-lite (no libclang): the rules key on the project's own naming
@@ -26,11 +26,11 @@ Rules
   unknown-metric        obs counter/gauge/histogram name literals must appear
                         in the docs/observability.md catalogue table, so the
                         catalogue can never silently go stale.
-  sigma-direction       the predecessor-index lambda of a
-                        `lookback_accumulate(...)` call must step toward
-                        smaller indices (subtraction only): a walk toward
-                        larger sigma can wait on a tile that is claimed
-                        *after* the waiter, which deadlocks a finite pool.
+  sigma-direction       the tile-index argument of a `.wait_at_least(...)`
+                        call must not add to a tile coordinate (left/up
+                        neighbours subtract): a wait toward larger sigma
+                        can wait on a tile that is claimed *after* the
+                        waiter, which deadlocks a finite pool.
   memory-order-explicit bare `load()` / `store()` (defaulted seq_cst) on the
                         audited flag atomics is an error: every access must
                         name its order, so the release/acquire pairing stays
@@ -94,7 +94,7 @@ RULES = {
     "atomic-whitelist": "std::atomic outside the audited whitelist",
     "volatile-sync": "volatile used where synchronization is required",
     "unknown-metric": "metric name missing from docs/observability.md catalogue",
-    "sigma-direction": "look-back walk must move toward smaller sigma",
+    "sigma-direction": "neighbour wait must target a smaller sigma",
     "memory-order-explicit": "flag atomic access must name its memory order",
     "allow-without-reason": "satlint allow directive carries no rationale",
 }
@@ -113,7 +113,9 @@ METRIC_CALL = re.compile(r"\b(?:counter|gauge|histogram)\s*\(\s*\"([^\"]+)\"")
 ALLOW_DIRECTIVE = re.compile(r"satlint:\s*allow\(([^)]*)\)\s*(.*)")
 EXPECT_DIRECTIVE = re.compile(r"satlint-expect:\s*([\w-]+)")
 CATALOGUE_ROW = re.compile(r"^\|\s*`([A-Za-z0-9_.]+)`\s*\|")
-LAMBDA = re.compile(r"\[[^\[\]]*\]\s*\(([^()]*)\)\s*(?:->\s*[\w:<>]+\s*)?\{([^{}]*)\}")
+# A call of StatusFlags::wait_at_least through an object (not the
+# declaration).
+WAIT_CALL = re.compile(r"(?:\.|->)\s*wait_at_least\s*\(")
 
 
 class Violation(NamedTuple):
@@ -362,29 +364,36 @@ def check_metrics(src: SourceFile, catalogue: set[str]) -> list[Violation]:
     return out
 
 
+def _first_arg(args: str) -> str:
+    """First top-level argument of a parenthesized argument list."""
+    depth = 0
+    for j, ch in enumerate(args[1:], start=1):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            if depth == 0:
+                return args[1:j]
+            depth -= 1
+        elif ch == "," and depth == 0:
+            return args[1:j]
+    return args[1:]
+
+
 def check_sigma_direction(src: SourceFile) -> list[Violation]:
     out = []
     for lineno, line in enumerate(src.code, start=1):
-        col = line.find("lookback_accumulate")
-        if col < 0:
-            continue
-        window = src.window(lineno, span=16)
-        call = _call_args(window, window.find("(", col))
-        lam = LAMBDA.search(call)
-        if lam is None:
-            continue
-        params = [p for p in lam.group(1).split(",") if p.strip()]
-        if not params:
-            continue
-        step = params[-1].split()[-1].lstrip("&*")
-        body = lam.group(2)
-        if re.search(rf"\+\s*{re.escape(step)}\b|\b{re.escape(step)}\s*\+", body):
-            out.append(Violation(
-                src.relpath, lineno, "sigma-direction",
-                f"predecessor index adds the walk step '{step}': the walk "
-                f"moves toward *larger* sigma, which can wait on a tile "
-                f"claimed after the waiter and deadlock a finite pool; "
-                f"predecessor indices must subtract the step"))
+        for m in WAIT_CALL.finditer(line):
+            window = src.window(lineno)
+            start = window.find("(", m.start())
+            index = _first_arg(_call_args(window, start))
+            if "+" in index:
+                out.append(Violation(
+                    src.relpath, lineno, "sigma-direction",
+                    f"wait index '{index.strip()}' adds to a tile "
+                    f"coordinate: the wait targets a *larger* sigma, which "
+                    f"can wait on a tile claimed after the waiter and "
+                    f"deadlock a finite pool; neighbour waits must target "
+                    f"the left (tj - 1) or upper (ti - 1) tile"))
     return out
 
 

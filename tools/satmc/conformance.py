@@ -2,25 +2,29 @@
 """Code↔model conformance extractor for satmc (stdlib only).
 
 The satmc model checker (tools/satmc/) verifies an *independent* encoding of
-the 1R1W-SKSS-LB look-back protocol.  That independence is only worth
-anything if the encoding and the real headers cannot silently drift apart —
-this tool closes the loop.  It parses the production headers with satlint's
-sanitizing tokenizer and asserts that every protocol fact the code states is
-exactly the fact the model declares (`satmc --dump-model`):
+the host 1R1W-SKSS-LB tile protocol — the neighbour wait.  That independence
+is only worth anything if the encoding and the real headers cannot silently
+drift apart — this tool closes the loop.  It parses the production headers
+with satlint's sanitizing tokenizer and asserts that every protocol fact the
+code states is exactly the fact the model declares (`satmc --dump-model`):
 
-  * the hflag lattices in src/host/lookback.hpp (values of LRS/GRS/GLS/GS
-    and LCS/GCS), and their device mirrors rflag/cflag in
-    src/sat/aux_arrays.hpp;
-  * the transition tables + terminal states registered with the protocol
-    checker (src/sat/protocol_specs.hpp, kSkssLbTransitions{R,C});
-  * the publish sequence of src/host/sat_skss_lb.hpp — fast path then slow
-    path, in source order;
-  * the three look-back walks' (axis, LOCAL, GLOBAL) threshold pairs;
-  * the fast-path guard's peek thresholds;
-  * the memory orders: publish = store-release, observe = load-acquire,
-    claim counter = relaxed fetch_add.  Relaxed accesses covered by a
-    satlint allow directive (with rationale) are exempt, exactly as satlint
-    itself treats them.
+  * the hflag lattice in src/host/lookback.hpp (one DONE state);
+  * the memory orders of the flag primitive: publish = store-release,
+    observe = load-acquire.  Relaxed accesses covered by a satlint allow
+    directive (with rationale) are exempt, exactly as satlint itself treats
+    them;
+  * the neighbour wait (LookbackAux::wait_neighbours in lookback.hpp): its
+    waits in source order — which neighbour (left/up), which threshold;
+  * per engine (src/host/sat_skss_lb.hpp and src/host/sat_residual.hpp),
+    the tile's protocol steps in source order: the neighbour wait, then
+    the publishes;
+  * the claim-range scheduler: cursor order, pop/steal CAS orders, the
+    tail-half split, the chunk formula;
+  * the paper's device lattice (rflag/cflag in src/sat/aux_arrays.hpp and
+    the transition tables + terminal states registered with the protocol
+    checker in src/sat/protocol_specs.hpp) against the model's reference
+    declaration of it.  The explorer does not run that protocol — the
+    simulator's protocol checker does — but the declaration pins it.
 
 Usage:
     conformance.py --root DIR --satmc PATH/TO/satmc [--lookback FILE]
@@ -49,19 +53,19 @@ import satlint  # noqa: E402  (satlint's tokenizer is the extraction engine)
 NAMESPACE = re.compile(r"namespace\s+(\w+)\s*\{")
 FLAG_CONST = re.compile(
     r"inline\s+constexpr\s+std::uint8_t\s+k(\w+)\s*=\s*(\d+)\s*;")
-# iaux.r_status.publish(self, hflag::kGs);  (`iaux` is the per-image aux of
-# the batch engine; the \w* prefix tolerates renames that keep the aux stem)
+# iaux.status.publish(self, hflag::kDone);  (`iaux` is the per-image aux of
+# the batch engines; the \w* prefix tolerates renames that keep the aux stem)
 PUBLISH_CALL = re.compile(
-    r"\w*aux\s*\.\s*([rc])_status\s*\.\s*publish\s*\(\s*self\s*,\s*"
+    r"\w*aux\s*\.\s*status\s*\.\s*publish\s*\(\s*self\s*,\s*"
     r"hflag::k(\w+)\s*\)")
-# lookback_accumulate(iaux.r_status, ..., hflag::kLrs, hflag::kGrs, ...)
-WALK_CALL = re.compile(
-    r"lookback_accumulate\s*\(\s*\w*aux\s*\.\s*([rc])_status\s*,.*?"
-    r"hflag::k(\w+)\s*,\s*hflag::k(\w+)", re.DOTALL)
-# iaux.r_status.peek(left) >= hflag::kGrs
-GUARD_PEEK = re.compile(
-    r"\w*aux\s*\.\s*([rc])_status\s*\.\s*peek\s*\(\s*\w+\s*\)\s*>=\s*"
-    r"hflag::k(\w+)")
+# status.wait_at_least(grid.idx(ti, tj - 1), hflag::kDone, obs)
+WAIT_CALL = re.compile(
+    r"\bstatus\s*\.\s*wait_at_least\s*\(\s*"
+    r"\w+\s*\.\s*idx\s*\(([^()]*)\)\s*,\s*hflag::k(\w+)")
+# iaux.wait_neighbours(grid, ti, tj, obs) — an engine's neighbour wait.
+WAIT_NEIGHBOURS_CALL = re.compile(r"\w*aux\s*\.\s*wait_neighbours\s*\(")
+# The two neighbour index expressions, whitespace-free.
+NEIGHBOURS = {"ti,tj-1": "left", "ti-1,tj": "up"}
 # work_counter_.fetch_add(chunk_, std::memory_order_relaxed) — the claim
 # cursor lives in ClaimScheduler (src/host/lookback.hpp) since the
 # claim-range scheme replaced the engine's per-tile counter.
@@ -87,6 +91,7 @@ TRANSITION_TABLE = re.compile(
 
 R_NAMES = ("LRS", "GRS", "GLS", "GS")
 C_NAMES = ("LCS", "GCS")
+ENGINES = ("sat_skss_lb.hpp", "sat_residual.hpp")
 
 
 class Conformance:
@@ -194,26 +199,21 @@ def main() -> int:
 
     lookback_path = Path(args.lookback) if args.lookback \
         else root / "src" / "host" / "lookback.hpp"
-    skss_path = root / "src" / "host" / "sat_skss_lb.hpp"
+    engine_paths = [root / "src" / "host" / name for name in ENGINES]
     specs_path = root / "src" / "sat" / "protocol_specs.hpp"
     aux_path = root / "src" / "sat" / "aux_arrays.hpp"
-    for p in (lookback_path, skss_path, specs_path, aux_path):
+    for p in (lookback_path, *engine_paths, specs_path, aux_path):
         if not p.is_file():
             print(f"conformance: missing source {p}", file=sys.stderr)
             return 2
 
     conf = Conformance()
-    model_r = dump["flags"]["R"]
-    model_c = dump["flags"]["C"]
 
     # 1. Host flag lattice (hflag) vs the model's declaration.
     print(f"[lookback] {lookback_path}")
     lookback = load_source(lookback_path, root)
     hflags = parse_flag_namespaces(lookback, {"hflag"}).get("hflag", {})
-    conf.expect("hflag R lattice",
-                {n: hflags.get(n) for n in R_NAMES}, model_r)
-    conf.expect("hflag C lattice",
-                {n: hflags.get(n) for n in C_NAMES}, model_c)
+    conf.expect("hflag lattice", hflags, dump["flags"])
 
     # 2. Memory orders in the flag primitive (allow-covered ops exempt).
     orders = atomic_order_facts(lookback)
@@ -222,7 +222,29 @@ def main() -> int:
     conf.expect("flag observe load order", sorted(orders["load"]),
                 [dump["orders"]["observe"]])
 
-    # 3. Device mirrors (rflag/cflag) vs the model.
+    # 3. The neighbour wait, then each engine's protocol steps in source
+    # order.
+    lookback_text = "\n".join(lookback.code)
+    waits = [[NEIGHBOURS.get(re.sub(r"\s+", "", idx), idx.strip()),
+              name.upper()] for idx, name in WAIT_CALL.findall(lookback_text)]
+    conf.expect("neighbour waits (neighbour, state)", waits, dump["waits"])
+    for path in engine_paths:
+        print(f"[engine] {path}")
+        text = "\n".join(load_source(path, root).code)
+        steps = [(m.start(), "wait")
+                 for m in WAIT_NEIGHBOURS_CALL.finditer(text)]
+        steps += [(m.start(), m.group(1).upper())
+                  for m in PUBLISH_CALL.finditer(text)]
+        conf.expect(f"{path.name}: tile steps (wait, then publishes)",
+                    [step for _, step in sorted(steps)],
+                    dump["tile_sequence"])
+
+    # 4. The paper's device lattice: rflag/cflag mirrors, the registered
+    # transition tables and terminals, against the model's reference
+    # declaration.
+    paper = dump["paper_lattice"]
+    model_r = paper["flags"]["R"]
+    model_c = paper["flags"]["C"]
     print(f"[aux_arrays] {aux_path}")
     aux = load_source(aux_path, root)
     device = parse_flag_namespaces(aux, {"rflag", "cflag"})
@@ -232,8 +254,6 @@ def main() -> int:
                 {n: rflags.get(n) for n in R_NAMES}, model_r)
     conf.expect("cflag lattice (device mirror)",
                 {n: cflags.get(n) for n in C_NAMES}, model_c)
-
-    # 4. Registered transition tables + terminals (protocol_specs.hpp).
     print(f"[protocol_specs] {specs_path}")
     specs_text = "\n".join(load_source(specs_path, root).code)
     tables: dict[str, list[list[int]]] = {}
@@ -242,35 +262,16 @@ def main() -> int:
                 for a, b in TRANSITION_ROW.findall(m.group(2))]
         tables[m.group(1)] = rows
     conf.expect("R transition table", tables.get("R"),
-                dump["transitions"]["R"])
+                paper["transitions"]["R"])
     conf.expect("C transition table", tables.get("C"),
-                dump["transitions"]["C"])
+                paper["transitions"]["C"])
     terminals = {m.group(1): resolve(m.group(2), rflags, cflags)
                  for m in TERMINAL_DECL.finditer(specs_text)}
-    conf.expect("terminal states", terminals, dump["terminal"])
+    conf.expect("terminal states", terminals, paper["terminal"])
 
-    # 5. The engine's publish sequence, walks, fast guard, claim order.
-    print(f"[engine] {skss_path}")
-    engine = load_source(skss_path, root)
-    engine_text = "\n".join(engine.code)
-    publishes = [[axis.upper(), name.upper()]
-                 for axis, name in PUBLISH_CALL.findall(engine_text)]
-    model_seq = dump["publish_sequence"]["fast"] + \
-        dump["publish_sequence"]["slow"]
-    conf.expect("publish sequence (fast, then slow; source order)",
-                publishes, model_seq)
-    walks = [{"axis": axis.upper(), "local": lo.upper(), "global": hi.upper()}
-             for axis, lo, hi in WALK_CALL.findall(engine_text)]
-    conf.expect("look-back walks (axis, LOCAL, GLOBAL)", walks,
-                dump["walks"])
-    guard = [[axis.upper(), name.upper()]
-             for axis, name in GUARD_PEEK.findall(engine_text)]
-    conf.expect("fast-path guard thresholds", guard, dump["fast_guard"])
-
-    # 6. The claim-range scheduler (ClaimScheduler, lookback.hpp): cursor
+    # 5. The claim-range scheduler (ClaimScheduler, lookback.hpp): cursor
     # order, pop/steal CAS orders, the tail-half split, the chunk formula.
     print(f"[claim scheduler] {lookback_path}")
-    lookback_text = "\n".join(lookback.code)
     claim = CLAIM_ORDER.findall(lookback_text)
     conf.expect("claim cursor fetch_add order", sorted(set(claim)),
                 [dump["orders"]["claim"]])

@@ -269,16 +269,14 @@ class Explorer {
       std::string blocked_desc = "all live workers blocked:";
       for (std::size_t w = 0; w < m_.workers(); ++w) {
         if (m_.phase(c.data(), w) == Phase::kDone) continue;
-        if (m_.phase(c.data(), w) == Phase::kRowWalk ||
-            m_.phase(c.data(), w) == Phase::kColWalk ||
-            m_.phase(c.data(), w) == Phase::kDiagWalk) {
+        if (Model::is_wait(m_.phase(c.data(), w))) {
           const BlockedWait bw = m_.wait_of(c.data(), w);
           res.blocked.push_back(bw);
-          blocked_desc += " w" + std::to_string(w) + " waits " + bw.axis +
-                          "[" + std::to_string(bw.tile) +
+          blocked_desc += " w" + std::to_string(w) + " waits status[" +
+                          std::to_string(bw.tile) +
                           "] >= " + std::to_string(bw.want) + ";";
         } else {
-          // A non-walk phase is always enabled; a deadlock can only park
+          // A non-wait phase is always enabled; a deadlock can only park
           // workers on waits, but keep the report honest if that changes.
           blocked_desc +=
               " w" + std::to_string(w) + " stuck in " +

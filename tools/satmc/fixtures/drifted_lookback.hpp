@@ -3,8 +3,9 @@
 // satmc_conformance_drift feeds it in via --lookback and requires the
 // extractor to reject it). Two seeded drifts:
 //
-//   1. the R lattice swaps GLS and GS (a waiter keyed on kGls would then
-//      accept a tile whose diagonal sum is not published yet);
+//   1. the lattice grows a second state below DONE (a waiter keyed on the
+//      model's DONE = 1 would then accept a tile whose sums are only half
+//      published);
 //   2. publish() stores the flag relaxed with no satlint allow — the flag
 //      can pass the data it guards.
 //
@@ -19,12 +20,8 @@
 namespace sathost {
 
 namespace hflag {
-inline constexpr std::uint8_t kLrs = 1;  ///< LRS(I,J) published
-inline constexpr std::uint8_t kGrs = 2;  ///< GRS(I,J) published
-inline constexpr std::uint8_t kGls = 4;  ///< DRIFT: swapped with kGs
-inline constexpr std::uint8_t kGs = 3;   ///< DRIFT: swapped with kGls
-inline constexpr std::uint8_t kLcs = 1;  ///< LCS(I,J) published
-inline constexpr std::uint8_t kGcs = 2;  ///< GCS(I,J) published
+inline constexpr std::uint8_t kRows = 1;  ///< DRIFT: GRS published alone
+inline constexpr std::uint8_t kDone = 2;  ///< DRIFT: DONE moved up
 }  // namespace hflag
 
 class StatusFlags {

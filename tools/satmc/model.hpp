@@ -1,55 +1,43 @@
-// satmc model: the host 1R1W-SKSS-LB look-back protocol as an explicit
-// finite transition system.
+// satmc model: the host 1R1W-SKSS-LB tile protocol — the 1R1W-SKSS
+// neighbour wait — as an explicit finite transition system.
 //
-// This is an *independent* encoding of the paper's §IV protocol — it
-// deliberately does not include src/host/lookback.hpp or sat_skss_lb.hpp, so
-// the conformance extractor (tools/satmc/conformance.py) can cross-check the
-// real headers against the model's declarations and catch silent drift in
-// either direction. The only shared code is the tile geometry
-// (satalgo::TileGrid), so the model walks exactly the σ serial order the
-// engine walks.
+// This is an *independent* encoding of the protocol — it deliberately does
+// not include src/host/lookback.hpp or sat_skss_lb.hpp, so the conformance
+// extractor (tools/satmc/conformance.py) can cross-check the real headers
+// against the model's declarations and catch silent drift in either
+// direction. The only shared code is the tile geometry (satalgo::TileGrid),
+// so the model walks exactly the σ serial order the engine walks.
 //
-// State = (σ claim counter) × (per-worker program counter) × (per-tile flag
-// pair + published-value lattice). Transitions are the protocol's *visible*
-// steps — claims, flag publishes, look-back waits — with two sound
-// reductions that keep 4×4 grids with 4 workers exhaustively checkable:
+// Per tile the engine claims a serial, waits until its left neighbour is
+// DONE, waits until its upper neighbour is DONE, reads their published sums
+// (GRS left, GCS up, GS of the diagonal tile — covered transitively by the
+// upper tile's own wait), writes its own GRS/GCS/GS and dst, and releases
+// its DONE flag. The model has one transition per visible step of that
+// sequence: a claim round, each neighbour observe, and the publish. No
+// worker reads another tile's dst, so where the dst store sits relative to
+// the release is invisible to the protocol (the residual encoder stores
+// its tile after releasing DONE); the model stores it in the publish step.
 //
-// 1. Step fusion (Lipton reduction for monotone one-shot flags). A step
-//    fuses one read/decision prefix with the publishes that follow it
-//    unconditionally: the fast-path check with its terminal publishes, the
-//    slow-path check with the LRS/LCS publishes, and each walk's final
-//    observe with the entire read-free publish chain behind it (GRS after
-//    the row walk, GCS/GLS after the column walk, GS + dst after the
-//    diagonal walk — chaining straight through when the next walk has zero
-//    length). Every read in a fused step happens at the step's
-//    start, each inner publish still checks strict monotonicity, and a
-//    release drains the store buffer at the *first* releasing publish — so
-//    the values another worker could read between the fused publishes are
-//    exactly the values it reads after them (flags are monotone and values
-//    write-once). The only behaviors the fusion removes are ones where
-//    another worker observes a strict prefix of the publishes, and for this
-//    protocol such an observer either reads the same value it would read
-//    after the full step (its gating flag was already raised) or merely
-//    waits longer (its gating flag rises later in the step) — a delay, not
-//    a new outcome. Deadlocks are preserved too: mid-step states always
-//    have the publishing worker enabled.
-//
-// 2. The fast-path predicate reads three flags in one transition where the
-//    code issues three acquire loads. Flags are monotone, so a sequential
-//    evaluation that succeeds implies all three thresholds hold at the last
-//    load, and one that fails does so at a specific load — a state this
-//    model also reaches by firing the check at that instant.
-//
-// (A third reduction — firing outcome-deterministic walk observes eagerly —
-// lives in the explorer; see Model::eager.)
+// State = (claim cursor) × (per-worker record) × (per-tile flag + value
+// lattice). One reduction keeps 4×4 grids with 4 workers cheap: the
+// explorer fires a neighbour observe whose flag is already DONE, and the
+// exit step once nothing is left to claim, eagerly (Model::eager). Both
+// touch only the worker's own record and stay enabled forever (flags are
+// monotone, the cursor never moves back), so they commute with every other
+// transition and pruning their interleavings loses no reachable violation.
 //
 // Release/acquire is modeled with a per-value visibility lattice
 // UNWRITTEN → LOCAL → VISIBLE: a worker's writes land as LOCAL (its store
-// buffer), any release-publish by that worker promotes its pending writes to
-// VISIBLE, and every cross-tile read asserts VISIBLE. A publish mutated to
-// relaxed skips the promotion, so a reader that trusts the flag trips the
-// read-before-release invariant — the model's rendering of "the flag passed
-// the data on weakly ordered hardware".
+// buffer, remembered in the worker record as its *pending* tile), a
+// release-publish by that worker promotes them to VISIBLE, and every
+// cross-tile read asserts VISIBLE — except a read of the reader's own
+// pending tile, which store-to-load forwarding serves. The buffer also
+// drains when the worker writes its next tile and when it exits (the pool
+// join), so an unreleased value is only ever a *window*. A publish mutated
+// to relaxed skips the promotion, so a reader on another worker that trusts
+// the flag inside the window trips the read-before-release invariant — the
+// model's rendering of "the flag passed the data on weakly ordered
+// hardware".
 #pragma once
 
 #include <algorithm>
@@ -64,32 +52,23 @@
 
 namespace satmc {
 
-// Flag lattices, independent re-declaration of the paper's Table II states
+// Flag lattice, independent re-declaration of the host's one-state lattice
 // (cross-checked against sathost::hflag by the conformance extractor).
 namespace flag {
-inline constexpr std::uint8_t kLrs = 1;
-inline constexpr std::uint8_t kGrs = 2;
-inline constexpr std::uint8_t kGls = 3;
-inline constexpr std::uint8_t kGs = 4;
-inline constexpr std::uint8_t kLcs = 1;
-inline constexpr std::uint8_t kGcs = 2;
+inline constexpr std::uint8_t kDone = 1;
 }  // namespace flag
 
-/// Published per-tile quantities (Table II). Order is the value-lattice bit
-/// layout in the packed state.
+/// Published per-tile quantities. Order is the value-lattice bit layout in
+/// the packed tile byte.
 enum Value : std::uint8_t {
-  kValLrs = 0,
-  kValLcs = 1,
-  kValGrs = 2,
-  kValGcs = 3,
-  kValGls = 4,
-  kValGs = 5,
-  kValCount = 6,
+  kValGrs = 0,
+  kValGcs = 1,
+  kValGs = 2,
+  kValCount = 3,
 };
 
 inline const char* value_name(std::uint8_t v) {
-  static const char* names[kValCount] = {"LRS", "LCS", "GRS",
-                                         "GCS", "GLS", "GS"};
+  static const char* names[kValCount] = {"GRS", "GCS", "GS"};
   return v < kValCount ? names[v] : "?";
 }
 
@@ -100,33 +79,26 @@ enum Vis : std::uint8_t {
   kVisible = 2,    ///< released — an acquiring reader sees it
 };
 
-/// Worker program counter: one value per fused visible step of the worker
-/// lambda in src/host/sat_skss_lb.hpp (see file comment for the fusion
-/// argument).
+/// Worker program counter: one value per visible step of the worker lambda
+/// in src/host/sat_skss_lb.hpp.
 enum class Phase : std::uint8_t {
   kClaim = 0,  ///< one claim round: pop own range, else refill off the
                ///< cursor, else steal a peer's tail half or exit
-  kCheckFast,  ///< peek the 3 predecessors; fast: read + publish terminals;
-               ///< slow: compute local SAT, publish LRS + LCS
-  kRowWalk,    ///< wait R[left−k] ≥ LRS, read its LRS/GRS
-  kPubGrs,     ///< publish R := GRS
-  kColWalk,    ///< wait C[up−k] ≥ LCS, read its LCS/GCS
-  kPubGcsGls,  ///< publish C := GCS, then R := GLS
-  kDiagWalk,   ///< wait R[diag−k] ≥ GLS, read its GLS/GS
-  kPubGs,      ///< publish R := GS, store the tile to dst → kClaim
+  kWaitLeft,   ///< wait status[left] ≥ DONE
+  kWaitUp,     ///< wait status[up] ≥ DONE
+  kPublish,    ///< read the neighbours' sums, write own sums + dst,
+               ///< release DONE → kClaim
+  kLateData,   ///< flag-before-data only: the sums land after the flag
   kDone,       ///< worker exited (σ exhausted)
 };
 
 inline const char* phase_name(Phase p) {
   switch (p) {
     case Phase::kClaim: return "claim";
-    case Phase::kCheckFast: return "check-fast";
-    case Phase::kRowWalk: return "row-walk";
-    case Phase::kPubGrs: return "pub-R:GRS";
-    case Phase::kColWalk: return "col-walk";
-    case Phase::kPubGcsGls: return "pub-C:GCS-R:GLS";
-    case Phase::kDiagWalk: return "diag-walk";
-    case Phase::kPubGs: return "pub-R:GS";
+    case Phase::kWaitLeft: return "wait-left";
+    case Phase::kWaitUp: return "wait-up";
+    case Phase::kPublish: return "publish";
+    case Phase::kLateData: return "late-data";
     case Phase::kDone: return "done";
   }
   return "?";
@@ -136,17 +108,16 @@ inline const char* phase_name(Phase p) {
 /// counterexample — the checker's own mutation test suite.
 enum class Mutation : std::uint8_t {
   kNone = 0,
-  /// Publish the LRS/LCS flags *before* the local sums are written (the
-  /// data lands only at the GRS publish). A row-walking neighbor that
-  /// trusts the flag reads an unwritten LRS.
+  /// Release DONE *before* the tile's sums are written (they land in a
+  /// later step). A neighbour that trusts the flag reads an unwritten GRS.
   kFlagBeforeData,
-  /// The range pops hand serials out in *decreasing* order. Look-back
-  /// dependencies then point at tiles claimed after the waiter; with fewer
+  /// The range pops hand serials out in *decreasing* order. Neighbour
+  /// waits then point at tiles claimed after the waiter; with fewer
   /// workers than tiles every worker ends up blocked on an unclaimed tile.
   kSigmaInversion,
-  /// The GRS publish loses its release. The flag becomes observable while
-  /// GRS is still in the writer's store buffer; the next row-walker reads a
-  /// value no release edge ever made visible.
+  /// The DONE publish loses its release. The flag becomes observable while
+  /// the sums are still in the writer's store buffer; a neighbour on
+  /// another worker reads a value no release edge ever made visible.
   kDroppedRelease,
   /// The steal loses the victim-side CAS (a lost update): the thief
   /// installs the stolen tail [mid, end) but the victim's span keeps it
@@ -193,8 +164,7 @@ inline const char* verdict_name(Verdict v) {
 /// A blocked wait, for deadlock diagnostics and the dynamic replay test.
 struct BlockedWait {
   std::size_t worker = 0;
-  char axis = 'R';        ///< 'R' or 'C' status array
-  std::size_t tile = 0;   ///< row-major tile index
+  std::size_t tile = 0;   ///< row-major index of the awaited neighbour
   std::uint8_t want = 0;  ///< wait threshold
 };
 
@@ -203,9 +173,10 @@ struct BlockedWait {
 /// Packed state layout (state_size() bytes):
 ///   [0]                       range cursor (serials granted to ranges)
 ///   [1 + 5w .. 1 + 5w + 4]    worker w: phase, serial (0xFF = none),
-///                             walk k, range next, range end
-///   [base_t + 3t .. +2]       tile t: flags byte (R | C<<3 | dst<<6),
-///                             value lattice (6 values × 2 bits, LE u16)
+///                             range next, range end, pending tile
+///                             (0xFF = store buffer empty)
+///   [base_t + t]              tile t: DONE (bit 0) | dst stored (bit 1) |
+///                             value lattice (3 values × 2 bits, bits 2..7)
 ///
 /// The claim layer mirrors sathost::ClaimScheduler: each worker owns a
 /// contiguous serial range [next, end) drawn off the shared cursor in
@@ -217,18 +188,19 @@ struct BlockedWait {
 /// over-approximation of the engine's refill window (the cursor moves one
 /// atomic before the refilled span becomes visible, so a scanning thief can
 /// miss it and leave empty-handed). Claims carry no release edges in the
-/// model — a serial is a pure work token, and the checker proves the R/C
-/// flag protocol alone guards every cross-tile read.
+/// model — a serial is a pure work token, and the checker proves the DONE
+/// flags alone guard every cross-tile read.
 ///
-/// Workers are symmetric: no transition reads a worker index (steal victims
-/// are chosen by record value, not index), so permuting the worker records
-/// of any reachable state yields a reachable state with the same future.
-/// canonicalize() sorts the records; the explorer stores only canonical
-/// representatives.
+/// Workers are symmetric: no transition reads a worker index and tile
+/// records name no worker (steal victims are chosen by record value, not
+/// index), so permuting the worker records of any reachable state yields a
+/// reachable state with the same future. canonicalize() sorts the records;
+/// the explorer stores only canonical representatives.
 class Model {
  public:
   /// Bytes per packed worker record.
   static constexpr std::size_t kWRec = 5;
+  static constexpr std::uint8_t kNoTile = 0xFF;
 
   Model(std::size_t g_rows, std::size_t g_cols, std::size_t nworkers,
         Mutation mutation = Mutation::kNone)
@@ -245,12 +217,15 @@ class Model {
   [[nodiscard]] std::size_t chunk() const { return chunk_; }
 
   [[nodiscard]] std::size_t state_size() const {
-    return 1 + kWRec * nw_ + 3 * grid_.count();
+    return 1 + kWRec * nw_ + grid_.count();
   }
 
   void init(std::uint8_t* s) const {
     std::fill(s, s + state_size(), std::uint8_t{0});
-    for (std::size_t w = 0; w < nw_; ++w) wserial(s, w) = 0xFF;
+    for (std::size_t w = 0; w < nw_; ++w) {
+      wserial(s, w) = kNoTile;
+      wpending(s, w) = kNoTile;
+    }
   }
 
   // ── state accessors ──────────────────────────────────────────────────
@@ -262,29 +237,21 @@ class Model {
   }
   [[nodiscard]] std::uint8_t range_next(const std::uint8_t* s,
                                         std::size_t w) const {
-    return s[1 + kWRec * w + 3];
+    return s[1 + kWRec * w + 2];
   }
   [[nodiscard]] std::uint8_t range_end(const std::uint8_t* s,
                                        std::size_t w) const {
-    return s[1 + kWRec * w + 4];
+    return s[1 + kWRec * w + 3];
   }
-  [[nodiscard]] std::uint8_t r_flag(const std::uint8_t* s,
-                                    std::size_t t) const {
-    return tflags(s, t) & 0x7;
-  }
-  [[nodiscard]] std::uint8_t c_flag(const std::uint8_t* s,
-                                    std::size_t t) const {
-    return (tflags(s, t) >> 3) & 0x3;
+  [[nodiscard]] bool done(const std::uint8_t* s, std::size_t t) const {
+    return (s[tile_base(t)] & 0x1) != 0;
   }
   [[nodiscard]] bool dst_written(const std::uint8_t* s, std::size_t t) const {
-    return (tflags(s, t) >> 6) & 0x1;
+    return (s[tile_base(t)] & 0x2) != 0;
   }
   [[nodiscard]] Vis vis(const std::uint8_t* s, std::size_t t,
                         std::uint8_t val) const {
-    const std::size_t base = tile_base(t) + 1;
-    const std::uint16_t packed =
-        static_cast<std::uint16_t>(s[base] | (s[base + 1] << 8));
-    return static_cast<Vis>((packed >> (2 * val)) & 0x3);
+    return static_cast<Vis>((s[tile_base(t)] >> (2 + 2 * val)) & 0x3);
   }
 
   [[nodiscard]] bool all_done(const std::uint8_t* s) const {
@@ -293,28 +260,17 @@ class Model {
     return true;
   }
 
-  [[nodiscard]] static bool is_walk(Phase p) {
-    return p == Phase::kRowWalk || p == Phase::kColWalk ||
-           p == Phase::kDiagWalk;
+  [[nodiscard]] static bool is_wait(Phase p) {
+    return p == Phase::kWaitLeft || p == Phase::kWaitUp;
   }
 
-  /// Worker `w` can fire its next transition in `s`. Only the three walk
-  /// phases ever block (on their predecessor's flag); kDone is final.
+  /// Worker `w` can fire its next transition in `s`. Only the two wait
+  /// phases ever block (on their neighbour's flag); kDone is final.
   [[nodiscard]] bool enabled(const std::uint8_t* s, std::size_t w) const {
-    switch (phase(s, w)) {
-      case Phase::kDone:
-        return false;
-      case Phase::kRowWalk:
-      case Phase::kColWalk:
-      case Phase::kDiagWalk: {
-        const BlockedWait bw = wait_of(s, w);
-        const std::uint8_t cur =
-            bw.axis == 'R' ? r_flag(s, bw.tile) : c_flag(s, bw.tile);
-        return cur >= bw.want;
-      }
-      default:
-        return true;
-    }
+    const Phase p = phase(s, w);
+    if (p == Phase::kDone) return false;
+    if (is_wait(p)) return done(s, wait_of(s, w).tile);
+    return true;
   }
 
   /// Ample-set reduction hook: true when worker `w`'s next transition is
@@ -322,72 +278,43 @@ class Model {
   /// explorer fires it immediately, fused into whatever transition exposed
   /// it (closure compression). Two cases:
   ///
-  ///   * a walk observe whose predecessor flag already reached the GLOBAL
-  ///     threshold with the global value released — the branch is fixed,
-  ///     the value read is fixed and permanently visible (flags monotone,
-  ///     values write-once), and the step touches only `w`'s own record;
-  ///   * the exit step once σ is exhausted (σ never decreases).
+  ///   * a neighbour observe whose flag is already DONE — the step only
+  ///     advances `w`'s own phase, and the flag never falls again;
+  ///   * the exit step once nothing is left to claim (σ never decreases) and
+//     the worker's store buffer is empty.
   ///
   /// Such a transition commutes with every transition of every other
   /// worker, stays enabled forever, and cannot be part of a cycle (the
   /// whole system is acyclic: each step strictly advances a progress
   /// measure), so pruning the siblings loses no reachable violation.
-  ///
-  /// The observe case is gated on the *clean* model: a stopping observe
-  /// fuses into the publish chain behind it, and pruning interleavings
-  /// against those publishes is delay-equivalent only while the protocol's
-  /// release discipline holds (file comment, reduction 1). A mutation
-  /// breaks exactly that premise — e.g. dropped-release's witness is the
-  /// window between the relaxed GRS publish and the publisher's next
-  /// release, which the closure would fuse away. The exit case touches
-  /// only the worker's own record and stays eager unconditionally.
   [[nodiscard]] bool eager(const std::uint8_t* s, std::size_t w) const {
     const Phase p = phase(s, w);
     if (p == Phase::kClaim) {
       // The exit step is forced (and invisible) only when the cursor is
       // drained and *no* span anywhere holds work — a condition that can
       // never become false again. While any victim is visible the round is
-      // a real choice point (steal whom, or exit early) and stays lazy.
-      if (range_next(s, w) < range_end(s, w) || s[0] < tiles()) return false;
+      // a real choice point (steal whom, or exit early) and stays lazy. An
+      // exit that drains an unreleased store buffer is visible and stays
+      // lazy too (only a mutated publish leaves one behind).
+      if (range_next(s, w) < range_end(s, w) || s[0] < tiles() ||
+          wpending(s, w) != kNoTile)
+        return false;
       for (std::size_t w2 = 0; w2 < nw_; ++w2)
         if (range_next(s, w2) < range_end(s, w2)) return false;
       return true;
     }
-    if (mut_ != Mutation::kNone) return false;
-    if (!is_walk(p)) return false;
-    const BlockedWait bw = wait_of(s, w);
-    const std::uint8_t cur =
-        bw.axis == 'R' ? r_flag(s, bw.tile) : c_flag(s, bw.tile);
-    const auto [global_state, global_val] = walk_global(p);
-    return cur >= global_state && vis(s, bw.tile, global_val) == kVisible;
+    return is_wait(p) && done(s, wait_of(s, w).tile);
   }
 
-  /// The wait a walk-phase worker is parked on (valid only for walk phases).
+  /// The wait a wait-phase worker is parked on (valid only for wait phases).
   [[nodiscard]] BlockedWait wait_of(const std::uint8_t* s,
                                     std::size_t w) const {
     const auto [ti, tj] = grid_.tile_of_serial(wserial(s, w));
-    const std::uint8_t k = wwalk(s, w);
     BlockedWait bw;
     bw.worker = w;
-    switch (phase(s, w)) {
-      case Phase::kRowWalk:
-        bw.axis = 'R';
-        bw.tile = grid_.idx(ti, tj - 1 - k);
-        bw.want = flag::kLrs;
-        break;
-      case Phase::kColWalk:
-        bw.axis = 'C';
-        bw.tile = grid_.idx(ti - 1 - k, tj);
-        bw.want = flag::kLcs;
-        break;
-      case Phase::kDiagWalk:
-        bw.axis = 'R';
-        bw.tile = grid_.idx(ti - 1 - k, tj - 1 - k);
-        bw.want = flag::kGls;
-        break;
-      default:
-        break;
-    }
+    bw.want = flag::kDone;
+    bw.tile = phase(s, w) == Phase::kWaitLeft ? grid_.idx(ti, tj - 1)
+                                              : grid_.idx(ti - 1, tj);
     return bw;
   }
 
@@ -414,80 +341,13 @@ class Model {
     switch (phase(s, w)) {
       case Phase::kClaim:
         return claim_round(s, w, desc, choice);
-
-      case Phase::kCheckFast: {
-        const auto [ti, tj] = grid_.tile_of_serial(wserial(s, w));
-        const std::size_t self = grid_.idx(ti, tj);
-        const std::size_t left = tj > 0 ? grid_.idx(ti, tj - 1) : 0;
-        const std::size_t up = ti > 0 ? grid_.idx(ti - 1, tj) : 0;
-        const std::size_t diag =
-            (ti > 0 && tj > 0) ? grid_.idx(ti - 1, tj - 1) : 0;
-        const bool fast = (tj == 0 || r_flag(s, left) >= flag::kGrs) &&
-                          (ti == 0 || c_flag(s, up) >= flag::kGcs) &&
-                          (ti == 0 || tj == 0 || r_flag(s, diag) >= flag::kGs);
-        if (fast) {
-          // Fused fast path: read the three GLOBAL prefixes, write every
-          // own quantity and dst, publish both terminal flags.
-          note(desc, w, "finds all predecessors GLOBAL -> fast path, "
-                        "publishes R:=GS, C:=GCS");
-          if (tj > 0)
-            if (Verdict v = read(s, left, kValGrs, w, desc); v != Verdict::kOk)
-              return v;
-          if (ti > 0)
-            if (Verdict v = read(s, up, kValGcs, w, desc); v != Verdict::kOk)
-              return v;
-          if (ti > 0 && tj > 0)
-            if (Verdict v = read(s, diag, kValGs, w, desc); v != Verdict::kOk)
-              return v;
-          write_local(s, self, kValGrs);
-          write_local(s, self, kValGcs);
-          write_local(s, self, kValGs);
-          if (Verdict v = store_dst(s, self, w, desc); v != Verdict::kOk)
-            return v;
-          if (Verdict v = publish(s, w, 'R', flag::kGs, true, desc);
-              v != Verdict::kOk)
-            return v;
-          if (Verdict v = publish(s, w, 'C', flag::kGcs, true, desc);
-              v != Verdict::kOk)
-            return v;
-          wserial(s, w) = 0xFF;
-          set_phase(s, w, Phase::kClaim);
-        } else {
-          // Fused slow-path entry: compute the local SAT (LRS/LCS land in
-          // the store buffer — unless the mutation defers them past the
-          // flags), publish LRS then LCS, enter the row walk.
-          note(desc, w, "finds predecessors incomplete -> look-back path, "
-                        "publishes R:=LRS, C:=LCS");
-          if (mut_ != Mutation::kFlagBeforeData) {
-            write_local(s, self, kValLrs);
-            write_local(s, self, kValLcs);
-          }
-          if (Verdict v = publish(s, w, 'R', flag::kLrs, true, desc);
-              v != Verdict::kOk)
-            return v;
-          if (Verdict v = publish(s, w, 'C', flag::kLcs, true, desc);
-              v != Verdict::kOk)
-            return v;
-          wwalk(s, w) = 0;
-          set_phase(s, w, tj > 0 ? Phase::kRowWalk : Phase::kPubGrs);
-        }
-        return Verdict::kOk;
-      }
-
-      case Phase::kRowWalk:
-        return walk_step(s, w, Phase::kPubGrs, desc);
-
-      case Phase::kColWalk:
-        return walk_step(s, w, Phase::kPubGcsGls, desc);
-
-      case Phase::kDiagWalk:
-        return walk_step(s, w, Phase::kPubGs, desc);
-
-      case Phase::kPubGrs:
-      case Phase::kPubGcsGls:
-      case Phase::kPubGs:
-        return run_publishes(s, w, desc);
-
+      case Phase::kWaitLeft:
+      case Phase::kWaitUp:
+        return observe(s, w, desc);
+      case Phase::kPublish:
+        return publish_tile(s, w, desc);
+      case Phase::kLateData:
+        return late_data(s, w, desc);
       case Phase::kDone:
         break;
     }
@@ -495,8 +355,8 @@ class Model {
   }
 
   /// σ-progress: when every worker has exited, every serial must have been
-  /// claimed, every tile must sit at its terminal flags with its published
-  /// values visible, and every dst region must be stored exactly once.
+  /// claimed, every tile must be DONE with its published values visible,
+  /// and every dst region must be stored exactly once.
   Verdict check_terminal(const std::uint8_t* s, std::string* desc) const {
     if (s[0] != tiles()) {
       if (desc != nullptr)
@@ -505,15 +365,14 @@ class Model {
       return Verdict::kIncompleteTerminal;
     }
     for (std::size_t t = 0; t < tiles(); ++t) {
-      const bool ok = r_flag(s, t) == flag::kGs &&
-                      c_flag(s, t) == flag::kGcs && dst_written(s, t) &&
-                      vis(s, t, kValGs) == kVisible;
+      bool ok = done(s, t) && dst_written(s, t);
+      for (std::uint8_t v = 0; v < kValCount; ++v)
+        ok = ok && vis(s, t, v) == kVisible;
       if (!ok) {
         if (desc != nullptr)
           *desc = "tile " + std::to_string(t) +
-                  " not retired at termination (R=" +
-                  std::to_string(r_flag(s, t)) +
-                  " C=" + std::to_string(c_flag(s, t)) +
+                  " not retired at termination (done=" +
+                  (done(s, t) ? "1" : "0") +
                   " dst=" + (dst_written(s, t) ? "1" : "0") + ")";
         return Verdict::kIncompleteTerminal;
       }
@@ -545,11 +404,7 @@ class Model {
 
  private:
   [[nodiscard]] std::size_t tile_base(std::size_t t) const {
-    return 1 + kWRec * nw_ + 3 * t;
-  }
-  [[nodiscard]] std::uint8_t tflags(const std::uint8_t* s,
-                                    std::size_t t) const {
-    return s[tile_base(t)];
+    return 1 + kWRec * nw_ + t;
   }
   [[nodiscard]] std::uint8_t& wserial(std::uint8_t* s, std::size_t w) const {
     return s[1 + kWRec * w + 1];
@@ -558,17 +413,17 @@ class Model {
                                      std::size_t w) const {
     return s[1 + kWRec * w + 1];
   }
-  [[nodiscard]] std::uint8_t& wwalk(std::uint8_t* s, std::size_t w) const {
-    return s[1 + kWRec * w + 2];
-  }
-  [[nodiscard]] std::uint8_t wwalk(const std::uint8_t* s,
-                                   std::size_t w) const {
-    return s[1 + kWRec * w + 2];
-  }
   [[nodiscard]] std::uint8_t& wrnext(std::uint8_t* s, std::size_t w) const {
-    return s[1 + kWRec * w + 3];
+    return s[1 + kWRec * w + 2];
   }
   [[nodiscard]] std::uint8_t& wrend(std::uint8_t* s, std::size_t w) const {
+    return s[1 + kWRec * w + 3];
+  }
+  [[nodiscard]] std::uint8_t& wpending(std::uint8_t* s, std::size_t w) const {
+    return s[1 + kWRec * w + 4];
+  }
+  [[nodiscard]] std::uint8_t wpending(const std::uint8_t* s,
+                                      std::size_t w) const {
     return s[1 + kWRec * w + 4];
   }
   void set_phase(std::uint8_t* s, std::size_t w, Phase p) const {
@@ -593,6 +448,14 @@ class Model {
     return n;
   }
 
+  /// The first step of a freshly popped tile: its first neighbour wait, or
+  /// the publish for the corner tile, which has no neighbours.
+  [[nodiscard]] Phase first_phase(std::size_t ti, std::size_t tj) const {
+    if (tj > 0) return Phase::kWaitLeft;
+    if (ti > 0) return Phase::kWaitUp;
+    return Phase::kPublish;
+  }
+
   /// One claim round of sathost::ClaimScheduler::next: pop the own range,
   /// else draw a chunk off the cursor, else steal a victim's tail half or
   /// exit. Each arm is one atomic RMW in the engine (the pop/refill
@@ -607,9 +470,9 @@ class Model {
               ? static_cast<std::uint8_t>(tiles() - 1 - at)
               : at;
       wserial(s, w) = serial;
-      set_phase(s, w, Phase::kCheckFast);
+      const auto [ti, tj] = grid_.tile_of_serial(serial);
+      set_phase(s, w, first_phase(ti, tj));
       if (desc != nullptr) {
-        const auto [ti, tj] = grid_.tile_of_serial(serial);
         char buf[96];
         std::snprintf(buf, sizeof buf, "pops serial %u -> tile (%zu,%zu)",
                       serial, ti, tj);
@@ -655,53 +518,121 @@ class Model {
       }
       return Verdict::kOk;
     }
+    // Exiting joins the pool, which drains the worker's store buffer.
+    drain(s, w);
     set_phase(s, w, Phase::kDone);
     note(desc, w, "exits (cursor drained, no range claimed)");
     return Verdict::kOk;
   }
 
-  /// (GLOBAL flag threshold, GLOBAL value) of a walk phase.
-  [[nodiscard]] static std::pair<std::uint8_t, std::uint8_t> walk_global(
-      Phase p) {
-    switch (p) {
-      case Phase::kRowWalk: return {flag::kGrs, kValGrs};
-      case Phase::kColWalk: return {flag::kGcs, kValGcs};
-      default: return {flag::kGs, kValGs};  // kDiagWalk
+  /// One neighbour observe: the caller guaranteed the flag is DONE.
+  Verdict observe(std::uint8_t* s, std::size_t w, std::string* desc) const {
+    const BlockedWait bw = wait_of(s, w);
+    const bool left = phase(s, w) == Phase::kWaitLeft;
+    if (desc != nullptr) {
+      const auto [pi, pj] = tile_rc(bw.tile);
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "observes %s neighbour (%zu,%zu) DONE",
+                    left ? "left" : "upper", pi, pj);
+      note(desc, w, buf);
     }
+    const auto [ti, tj] = grid_.tile_of_serial(wserial(s, w));
+    set_phase(s, w, left && ti > 0 ? Phase::kWaitUp : Phase::kPublish);
+    return Verdict::kOk;
   }
 
-  /// (LOCAL value, walk length) of worker w's walk phase.
-  [[nodiscard]] std::pair<std::uint8_t, std::size_t> walk_local(
-      const std::uint8_t* s, std::size_t w) const {
+  /// The fused sweep and the DONE release: read the neighbours' sums, write
+  /// the tile's own sums and dst, publish.
+  Verdict publish_tile(std::uint8_t* s, std::size_t w,
+                       std::string* desc) const {
     const auto [ti, tj] = grid_.tile_of_serial(wserial(s, w));
-    switch (phase(s, w)) {
-      case Phase::kRowWalk: return {kValLrs, tj};
-      case Phase::kColWalk: return {kValLcs, ti};
-      default: return {kValGls, std::min(ti, tj)};  // kDiagWalk
+    const std::size_t self = grid_.idx(ti, tj);
+    if (tj > 0)
+      if (Verdict v = read(s, grid_.idx(ti, tj - 1), kValGrs, w, desc);
+          v != Verdict::kOk)
+        return v;
+    if (ti > 0)
+      if (Verdict v = read(s, grid_.idx(ti - 1, tj), kValGcs, w, desc);
+          v != Verdict::kOk)
+        return v;
+    if (ti > 0 && tj > 0)
+      if (Verdict v = read(s, grid_.idx(ti - 1, tj - 1), kValGs, w, desc);
+          v != Verdict::kOk)
+        return v;
+    if (mut_ == Mutation::kFlagBeforeData) {
+      char buf[96];
+      std::snprintf(buf, sizeof buf,
+                    "publishes DONE[(%zu,%zu)] before writing its sums", ti,
+                    tj);
+      note(desc, w, buf);
+      if (Verdict v = publish(s, w, self, true, desc); v != Verdict::kOk)
+        return v;
+      set_phase(s, w, Phase::kLateData);
+      return Verdict::kOk;
     }
+    if (Verdict v = write_sums(s, w, self, desc); v != Verdict::kOk) return v;
+    const bool release = mut_ != Mutation::kDroppedRelease;
+    char buf[112];
+    std::snprintf(buf, sizeof buf,
+                  "sweeps tile (%zu,%zu) into dst, publishes DONE (%s)", ti,
+                  tj, release ? "release" : "RELAXED");
+    note(desc, w, buf);
+    if (Verdict v = publish(s, w, self, release, desc); v != Verdict::kOk)
+      return v;
+    wserial(s, w) = kNoTile;
+    set_phase(s, w, Phase::kClaim);
+    return Verdict::kOk;
+  }
+
+  /// flag-before-data: the sums and dst land after the flag went out.
+  Verdict late_data(std::uint8_t* s, std::size_t w, std::string* desc) const {
+    const auto [ti, tj] = grid_.tile_of_serial(wserial(s, w));
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "writes the sums of tile (%zu,%zu) after its flag", ti, tj);
+    note(desc, w, buf);
+    if (Verdict v = write_sums(s, w, grid_.idx(ti, tj), desc);
+        v != Verdict::kOk)
+      return v;
+    wserial(s, w) = kNoTile;
+    set_phase(s, w, Phase::kClaim);
+    return Verdict::kOk;
   }
 
   void set_vis(std::uint8_t* s, std::size_t t, std::uint8_t val,
                Vis v) const {
-    const std::size_t base = tile_base(t) + 1;
-    std::uint16_t packed =
-        static_cast<std::uint16_t>(s[base] | (s[base + 1] << 8));
-    packed = static_cast<std::uint16_t>(
-        (packed & ~(0x3u << (2 * val))) |
-        (static_cast<std::uint16_t>(v) << (2 * val)));
-    s[base] = static_cast<std::uint8_t>(packed & 0xFF);
-    s[base + 1] = static_cast<std::uint8_t>(packed >> 8);
+    std::uint8_t& b = s[tile_base(t)];
+    const unsigned shift = 2 + 2 * val;
+    b = static_cast<std::uint8_t>((b & ~(0x3u << shift)) |
+                                  (static_cast<unsigned>(v) << shift));
   }
 
-  void write_local(std::uint8_t* s, std::size_t t, std::uint8_t val) const {
-    if (vis(s, t, val) == kUnwritten) set_vis(s, t, val, kLocal);
+  /// Promotes the LOCAL values of worker `w`'s pending tile to VISIBLE.
+  void drain(std::uint8_t* s, std::size_t w) const {
+    const std::uint8_t t = wpending(s, w);
+    if (t == kNoTile) return;
+    for (std::uint8_t v = 0; v < kValCount; ++v)
+      if (vis(s, t, v) == kLocal) set_vis(s, t, v, kVisible);
+    wpending(s, w) = kNoTile;
+  }
+
+  /// Worker `w` stores tile `t`'s GRS/GCS/GS into its store buffer (an
+  /// older pending tile drains first) and stores the tile to dst.
+  Verdict write_sums(std::uint8_t* s, std::size_t w, std::size_t t,
+                     std::string* desc) const {
+    drain(s, w);
+    for (std::uint8_t v = 0; v < kValCount; ++v)
+      if (vis(s, t, v) == kUnwritten) set_vis(s, t, v, kLocal);
+    wpending(s, w) = static_cast<std::uint8_t>(t);
+    return store_dst(s, t, w, desc);
   }
 
   /// An acquiring cross-tile read of `val` of tile `t` by worker `w`.
   Verdict read(std::uint8_t* s, std::size_t t, std::uint8_t val,
                std::size_t w, std::string* desc) const {
     const Vis v = vis(s, t, val);
-    if (v == kVisible) return Verdict::kOk;
+    if (v == kVisible || (v == kLocal && wpending(s, w) == t))
+      return Verdict::kOk;
     if (desc != nullptr) {
       const auto [ti, tj] = tile_rc(t);
       char buf[128];
@@ -722,170 +653,29 @@ class Model {
       if (desc != nullptr) note(desc, w, "stores an already-stored dst tile");
       return Verdict::kDstRewrite;
     }
-    s[tile_base(t)] |= std::uint8_t{1} << 6;
+    s[tile_base(t)] |= std::uint8_t{0x2};
     return Verdict::kOk;
   }
 
-  /// Publishes `state` on axis `axis` of worker `w`'s own tile and — when
-  /// `release` — drains the worker's store buffer (promotes its tile's
-  /// kLocal values to kVisible).
-  Verdict publish(std::uint8_t* s, std::size_t w, char axis,
-                  std::uint8_t state, bool release, std::string* desc) const {
-    const auto [ti, tj] = grid_.tile_of_serial(wserial(s, w));
-    const std::size_t self = grid_.idx(ti, tj);
-    const std::uint8_t cur =
-        axis == 'R' ? r_flag(s, self) : c_flag(s, self);
-    if (state <= cur) {
+  /// Raises tile `t`'s DONE flag for worker `w` and — when `release` —
+  /// drains the worker's store buffer.
+  Verdict publish(std::uint8_t* s, std::size_t w, std::size_t t, bool release,
+                  std::string* desc) const {
+    if (done(s, t)) {
       if (desc != nullptr) {
-        char buf[128];
+        const auto [ti, tj] = tile_rc(t);
+        char buf[112];
         std::snprintf(buf, sizeof buf,
-                      "publishes %c[(%zu,%zu)] := %u over %u -- flag did "
-                      "not rise (monotonicity)",
-                      axis, ti, tj, state, cur);
+                      "publishes DONE[(%zu,%zu)] over DONE -- flag did not "
+                      "rise (monotonicity)",
+                      ti, tj);
         note(desc, w, buf);
       }
       return Verdict::kMonotonicity;
     }
-    std::uint8_t f = tflags(s, self);
-    if (axis == 'R')
-      f = static_cast<std::uint8_t>((f & ~0x7u) | state);
-    else
-      f = static_cast<std::uint8_t>((f & ~(0x3u << 3)) | (state << 3));
-    s[tile_base(self)] = static_cast<std::uint8_t>(
-        f | (tflags(s, self) & (std::uint8_t{1} << 6)));
-    if (release)
-      for (std::uint8_t v = 0; v < kValCount; ++v)
-        if (vis(s, self, v) == kLocal) set_vis(s, self, v, kVisible);
+    s[tile_base(t)] |= std::uint8_t{0x1};
+    if (release) drain(s, w);
     return Verdict::kOk;
-  }
-
-  /// One look-back observe: the caller guaranteed flag ≥ local threshold.
-  /// Branch on the snapshot exactly like lookback_accumulate: at or above
-  /// the GLOBAL state read the global vector and stop; otherwise read the
-  /// local vector and keep walking until the border terminates the walk.
-  Verdict walk_step(std::uint8_t* s, std::size_t w, Phase stop_phase,
-                    std::string* desc) const {
-    const BlockedWait bw = wait_of(s, w);
-    const std::uint8_t seen =
-        bw.axis == 'R' ? r_flag(s, bw.tile) : c_flag(s, bw.tile);
-    const auto [global_state, global_val] = walk_global(phase(s, w));
-    const auto [local_val, steps] = walk_local(s, w);
-    const bool global = seen >= global_state;
-    if (desc != nullptr) {
-      const auto [pi, pj] = tile_rc(bw.tile);
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "look-back observes %c[(%zu,%zu)] = %u, takes %s %s",
-                    bw.axis, pi, pj, seen, global ? "GLOBAL" : "LOCAL",
-                    value_name(global ? global_val : local_val));
-      note(desc, w, buf);
-    }
-    if (Verdict v = read(s, bw.tile, global ? global_val : local_val, w, desc);
-        v != Verdict::kOk)
-      return v;
-    if (global || wwalk(s, w) + 1u >= steps) {
-      // The walk is over; the publish chain that follows it is
-      // unconditional and read-free, so it fuses into this observe
-      // (file comment, reduction 1).
-      set_phase(s, w, stop_phase);
-      wwalk(s, w) = 0;
-      return run_publishes(s, w, desc);
-    }
-    ++wwalk(s, w);
-    return Verdict::kOk;
-  }
-
-  /// Executes worker `w`'s pending publish phases (kPubGrs, kPubGcsGls,
-  /// kPubGs) back-to-back until the worker reaches a blocking walk or
-  /// returns to kClaim. Sound as a single transition: the chained phases
-  /// contain no cross-tile reads — only same-tile value writes and monotone
-  /// flag publishes — so an observer sees either none or all of them, and
-  /// anything it could do in between it can still do after (see the fusion
-  /// argument in the file comment).
-  Verdict run_publishes(std::uint8_t* s, std::size_t w,
-                        std::string* desc) const {
-    std::string segs;
-    char buf[96];
-    const auto seg = [&](const char* what) {
-      if (desc == nullptr) return;
-      if (!segs.empty()) segs += ", then ";
-      segs += what;
-    };
-    for (;;) {
-      const Phase p = phase(s, w);
-      if (p != Phase::kPubGrs && p != Phase::kPubGcsGls &&
-          p != Phase::kPubGs) {
-        if (desc != nullptr && !segs.empty()) {
-          if (desc->empty())
-            *desc = "w" + std::to_string(w) + " " + segs;
-          else
-            *desc += "; " + segs;
-        }
-        return Verdict::kOk;
-      }
-      const auto [ti, tj] = grid_.tile_of_serial(wserial(s, w));
-      const std::size_t self = grid_.idx(ti, tj);
-      switch (p) {
-        case Phase::kPubGrs: {
-          if (mut_ == Mutation::kFlagBeforeData) {
-            // The deferred local compute finally lands — long after the
-            // LRS/LCS flags told the world it was there.
-            write_local(s, self, kValLrs);
-            write_local(s, self, kValLcs);
-          }
-          write_local(s, self, kValGrs);
-          const bool release = mut_ != Mutation::kDroppedRelease;
-          std::snprintf(buf, sizeof buf, "publishes R[(%zu,%zu)] := GRS (%s)",
-                        ti, tj, release ? "release" : "RELAXED");
-          seg(buf);
-          if (Verdict v = publish(s, w, 'R', flag::kGrs, release, desc);
-              v != Verdict::kOk)
-            return v;
-          wwalk(s, w) = 0;
-          set_phase(s, w, ti > 0 ? Phase::kColWalk : Phase::kPubGcsGls);
-          break;
-        }
-
-        case Phase::kPubGcsGls: {
-          write_local(s, self, kValGcs);
-          write_local(s, self, kValGls);
-          std::snprintf(buf, sizeof buf,
-                        "publishes C[(%zu,%zu)] := GCS, R[(%zu,%zu)] := GLS",
-                        ti, tj, ti, tj);
-          seg(buf);
-          if (Verdict v = publish(s, w, 'C', flag::kGcs, true, desc);
-              v != Verdict::kOk)
-            return v;
-          if (Verdict v = publish(s, w, 'R', flag::kGls, true, desc);
-              v != Verdict::kOk)
-            return v;
-          wwalk(s, w) = 0;
-          set_phase(s, w,
-                    (ti > 0 && tj > 0) ? Phase::kDiagWalk : Phase::kPubGs);
-          break;
-        }
-
-        case Phase::kPubGs: {
-          write_local(s, self, kValGs);
-          std::snprintf(buf, sizeof buf,
-                        "publishes R[(%zu,%zu)] := GS, stores dst tile", ti,
-                        tj);
-          seg(buf);
-          if (Verdict v = publish(s, w, 'R', flag::kGs, true, desc);
-              v != Verdict::kOk)
-            return v;
-          // The single store to dst (worker-local; fused here).
-          if (Verdict dv = store_dst(s, self, w, desc); dv != Verdict::kOk)
-            return dv;
-          wserial(s, w) = 0xFF;
-          set_phase(s, w, Phase::kClaim);
-          break;
-        }
-
-        default:
-          break;  // unreachable: the loop head filtered the phase
-      }
-    }
   }
 
   [[nodiscard]] std::pair<std::size_t, std::size_t> tile_rc(

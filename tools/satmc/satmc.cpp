@@ -1,4 +1,5 @@
-// satmc: static model checker for the 1R1W-SKSS-LB look-back protocol.
+// satmc: static model checker for the host 1R1W-SKSS-LB tile protocol (the
+// neighbour wait, src/host/lookback.hpp).
 //
 //   satmc --verify [--max-grid N] [--max-workers W]
 //       Exhaustively checks the clean protocol for every g_rows×g_cols grid
@@ -6,7 +7,7 @@
 //       configuration. Exit 0 iff every configuration is violation-free.
 //
 //   satmc --mutate all
-//       Runs the three seeded protocol bugs, each at the smallest
+//       Runs the four seeded protocol bugs, each at the smallest
 //       configuration that exposes it, and requires the expected verdict
 //       plus a counterexample schedule. The checker's own test suite.
 //
@@ -15,9 +16,10 @@
 //       counterexample schedule if a violation is found.
 //
 //   satmc --dump-model
-//       Prints the model's protocol declaration (flag lattices, transition
-//       tables, publish sequences, walk thresholds, memory orders) as JSON
-//       for tools/satmc/conformance.py to diff against the real headers.
+//       Prints the model's protocol declaration (flag lattice, neighbour
+//       waits, per-tile step sequence, memory orders, claim scheme, and the
+//       paper's device lattice the simulator mirrors) as JSON for
+//       tools/satmc/conformance.py to diff against the real headers.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -42,16 +44,17 @@ struct MutationCase {
   Verdict expected;
 };
 
-// Smallest configurations that expose each seeded bug (2×2 needs a third
-// worker for the read bugs: with two workers no in-flight LRS is ever read
-// before its writer finishes; 2×2 with two workers suffices for the steal
-// lost-update, whose double-popped serial lands on one tile's dst twice).
+// Smallest configurations that expose each seeded bug: two workers on a
+// 1×2 strip suffice for the read bugs (the right tile's worker reads the
+// left tile's sums as soon as its flag is up), 2×2 for the σ inversion
+// (both workers park on tiles nobody will claim) and for the steal lost
+// update (its double-popped serial lands on one tile's dst twice).
 constexpr MutationCase kMutationCases[] = {
-    {Mutation::kFlagBeforeData, "flag-before-data", 2, 2, 3,
+    {Mutation::kFlagBeforeData, "flag-before-data", 1, 2, 2,
      Verdict::kReadUnwritten},
     {Mutation::kSigmaInversion, "sigma-order-inversion", 2, 2, 2,
      Verdict::kDeadlock},
-    {Mutation::kDroppedRelease, "dropped-release", 2, 2, 3,
+    {Mutation::kDroppedRelease, "dropped-release", 1, 2, 2,
      Verdict::kReadUnreleased},
     {Mutation::kRacySteal, "racy-steal", 2, 2, 2, Verdict::kDstRewrite},
 };
@@ -94,7 +97,7 @@ bool emit_schedule(const std::string& path, const Model& m,
   }
   f << "{\n"
     << "  \"tool\": \"satmc\",\n"
-    << "  \"version\": 1,\n"
+    << "  \"version\": 2,\n"
     << "  \"config\": {\"g_rows\": " << m.grid().g_rows()
     << ", \"g_cols\": " << m.grid().g_cols()
     << ", \"workers\": " << m.workers() << "},\n"
@@ -104,9 +107,8 @@ bool emit_schedule(const std::string& path, const Model& m,
     << "  \"blocked\": [";
   for (std::size_t i = 0; i < res.blocked.size(); ++i) {
     const auto& b = res.blocked[i];
-    f << (i ? ", " : "") << "{\"worker\": " << b.worker << ", \"axis\": \""
-      << b.axis << "\", \"tile\": " << b.tile
-      << ", \"want\": " << int{b.want} << "}";
+    f << (i ? ", " : "") << "{\"worker\": " << b.worker
+      << ", \"tile\": " << b.tile << ", \"want\": " << int{b.want} << "}";
   }
   f << "],\n  \"schedule\": [\n";
   for (std::size_t i = 0; i < res.trace.size(); ++i) {
@@ -124,27 +126,10 @@ bool emit_schedule(const std::string& path, const Model& m,
 void dump_model() {
   std::printf(R"json({
   "tool": "satmc",
-  "version": 1,
-  "flags": {
-    "R": {"LRS": 1, "GRS": 2, "GLS": 3, "GS": 4},
-    "C": {"LCS": 1, "GCS": 2}
-  },
-  "transitions": {
-    "R": [[0, 1], [1, 2], [2, 3], [3, 4]],
-    "C": [[0, 1], [1, 2]]
-  },
-  "terminal": {"R": 4, "C": 2},
-  "publish_sequence": {
-    "fast": [["R", "GS"], ["C", "GCS"]],
-    "slow": [["R", "LRS"], ["C", "LCS"], ["R", "GRS"], ["C", "GCS"],
-             ["R", "GLS"], ["R", "GS"]]
-  },
-  "walks": [
-    {"axis": "R", "local": "LRS", "global": "GRS"},
-    {"axis": "C", "local": "LCS", "global": "GCS"},
-    {"axis": "R", "local": "GLS", "global": "GS"}
-  ],
-  "fast_guard": [["R", "GRS"], ["C", "GCS"], ["R", "GS"]],
+  "version": 2,
+  "flags": {"DONE": 1},
+  "waits": [["left", "DONE"], ["up", "DONE"]],
+  "tile_sequence": ["wait", "DONE"],
   "claim": {
     "scheme": "chunked-range-steal",
     "chunk": "ceil(total / (2 * workers))",
@@ -154,7 +139,18 @@ void dump_model() {
     "cursor": "work_counter_"
   },
   "orders": {"publish": "release", "observe": "acquire", "claim": "relaxed",
-             "steal": "relaxed"}
+             "steal": "relaxed"},
+  "paper_lattice": {
+    "flags": {
+      "R": {"LRS": 1, "GRS": 2, "GLS": 3, "GS": 4},
+      "C": {"LCS": 1, "GCS": 2}
+    },
+    "transitions": {
+      "R": [[0, 1], [1, 2], [2, 3], [3, 4]],
+      "C": [[0, 1], [1, 2]]
+    },
+    "terminal": {"R": 4, "C": 2}
+  }
 }
 )json");
 }
@@ -214,8 +210,8 @@ int run_mutations(bool symmetry) {
 
 int main(int argc, char** argv) {
   satutil::ArgParser args("satmc",
-                          "static model checker for the 1R1W-SKSS-LB "
-                          "look-back protocol");
+                          "static model checker for the host 1R1W-SKSS-LB "
+                          "tile protocol");
   args.add_flag("verify", "sweep all configs up to --max-grid/--max-workers")
       .add("max-grid", "4", "max tiles per grid side for --verify")
       .add("max-workers", "4", "max worker count for --verify")
