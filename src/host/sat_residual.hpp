@@ -8,7 +8,7 @@
 //     and the per-row sums left of the current tile). The sat_simd analog.
 //
 //   - sat_skss_lb_residual_batch: the 1R1W-SKSS-LB engine re-targeted at a
-//     TiledSat output. Identical claim-range scheduling and neighbour wait
+//     TiledSat output. Identical one-ticket-per-tile claims and neighbour wait
 //     as sat_skss_lb_batch (host/sat_skss_lb.hpp), with two deltas: the
 //     flag-published quantities are WIDE (LookbackAux<Wide>, so the bases
 //     stay exact past T's range), and the fused store to dst becomes the
@@ -16,8 +16,8 @@
 //     chooses a width, so each tile first computes its tile-local SAT and
 //     value range into the arena's staging buffer — before the wait, so the
 //     sweep overlaps a slow neighbour. After the wait, the prefix of the
-//     left neighbour's GRS IS RowBand and the corner GS plus the prefix of
-//     the upper neighbour's GCS IS ColBand; the tile publishes its own sums
+//     left neighbour's GRS IS RowBand and the upper neighbour's bottom
+//     table row IS ColBand; the tile publishes its own GRS and bottom row
 //     and DONE, then TiledSat::encode_tile picks the residual width from
 //     the tile's value range, with the wide fallback on u32 overflow. What
 //     the engine saves is the output traffic — u16 residuals stream 2–4×
@@ -148,7 +148,7 @@ void sat_residual(satutil::Span2d<const T> src, sat::TiledSat<T>& out,
 }
 
 /// Batched 1R1W-SKSS-LB tiled-residual encoder: every image of the batch
-/// through one claim-range scheduler pass (pipelined across images exactly
+/// through one claim counter (pipelined across images exactly
 /// like sat_skss_lb_batch). All images share one shape; every `outs[b]`
 /// must match it and all must share one tile width, which fixes W
 /// (opt.tile_w, if set, must agree). opt.kahan does not apply to residual
@@ -183,7 +183,7 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
   std::vector<LookbackAux<Wide>> aux;
   aux.reserve(batch);
   for (std::size_t b = 0; b < batch; ++b) aux.emplace_back(tpi, w);
-  ClaimScheduler sched(batch * tpi, nworkers);
+  ClaimScheduler sched(batch * tpi);
 
   LookbackObs obs;
   obs.resolve(opt.metrics);
@@ -246,10 +246,9 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
 
     const auto in = iaux.wait_neighbours(grid, ti, tj, obs);
     const Wide* grs_in = in.grs;
-    const Wide* gcs_in = in.gcs;
 
-    // RowBand(p) = Σ GRS(I,J−1)[0..p]; ColBand(q) = GS(I−1,J−1) +
-    // Σ GCS(I−1,J)[0..q] (sat/storage.hpp header).
+    // RowBand(p) = Σ GRS(I,J−1)[0..p]; ColBand(q) = SAT(r0−1, c0+q), the
+    // bottom row of T(I−1,J) (sat/storage.hpp header).
     Wide* row_band = warena.acc();
     Wide* col_band = warena.aux();
     {
@@ -259,31 +258,24 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
         row_band[k] = run;
       }
     }
-    {
-      Wide run = in.corner;
-      for (std::size_t q = 0; q < Q; ++q) {
-        run += gcs_in != nullptr ? gcs_in[q] : Wide{};
-        col_band[q] = run;
-      }
+    if (in.bottom != nullptr) {
+      std::copy(in.bottom, in.bottom + Q, col_band);
+    } else {
+      std::fill(col_band, col_band + Q, Wide{});
     }
     // Publish before the encode: the neighbours need only these sums, so
     // the encode's output traffic stays off their dependency chain.
-    // GRS = left GRS + own row sums, GCS = upper GCS + own bottom-row
-    // differences, GS = the tile's bottom-right table value.
+    // GRS = left GRS + own row sums; the bottom table row = ColBand +
+    // RowBand(P−1) + the tile-local bottom row.
     Wide* grs_self = iaux.grs.get() + iaux.vec_base(self);
-    Wide* gcs_self = iaux.gcs.get() + iaux.vec_base(self);
+    Wide* bottom_self = iaux.bottom.get() + iaux.vec_base(self);
     for (std::size_t k = 0; k < P; ++k)
       grs_self[k] = (grs_in != nullptr ? grs_in[k] : Wide{}) +
                     static_cast<Wide>(lrs[k]);
     const T* bottom = tilebuf + (P - 1) * w;
-    for (std::size_t q = 0; q < Q; ++q) {
-      const Wide lcs = q == 0 ? static_cast<Wide>(bottom[0])
-                              : static_cast<Wide>(bottom[q]) -
-                                    static_cast<Wide>(bottom[q - 1]);
-      gcs_self[q] = (gcs_in != nullptr ? gcs_in[q] : Wide{}) + lcs;
-    }
-    iaux.gs[self] =
-        col_band[Q - 1] + row_band[P - 1] + static_cast<Wide>(bottom[Q - 1]);
+    for (std::size_t q = 0; q < Q; ++q)
+      bottom_self[q] =
+          col_band[q] + row_band[P - 1] + static_cast<Wide>(bottom[q]);
     iaux.status.publish(self, hflag::kDone);
 
     out.encode_tile(out.tile_index(ti, tj), tilebuf, w, P, Q, row_band,
@@ -313,7 +305,7 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
     detail::TileArena<T> tarena(w);
     detail::TileArena<Wide> warena(w);
     for (;;) {
-      const std::size_t serial = sched.next(worker_index, obs);
+      const std::size_t serial = sched.next();
       if (serial == ClaimScheduler::kNone) break;
       if (opt.tile_hook) opt.tile_hook(serial);
       const std::size_t img = serial / tpi;

@@ -11,18 +11,19 @@
 // self-assigning tiles in diagonal-major serial order
 //   σ(I,J) = (I+J)(I+J+1)/2 + I                        (Figure 9),
 // computing each tile's SAT with the fused SIMD kernels in one read and one
-// write over the matrix, and taking the left / top / corner prefixes from
-// the neighbours' published sums (lookback.hpp) instead of a barrier
-// between passes.
+// write over the matrix, and taking the left and top prefixes from what the
+// neighbours published (lookback.hpp) instead of a barrier between passes.
 //
 // Per tile: wait until the left and the upper neighbour are DONE, then run
 // one fused sweep straight into dst, seeded with their prefixes — row p's
-// carry-in is GRS(I,J−1)[p], the accumulator row starts at the inclusive
-// prefix of GCS(I−1,J) plus GS(I−1,J−1). GRS falls out as the row carries,
-// GCS by differencing the (cache-hot) bottom output row, GS is the
-// bottom-right output; then DONE is released. Every tile adds in the same
-// order whatever the worker count or timing, so results depend only on the
-// input, the shape and W (bitwise, for floating-point T too).
+// carry-in is GRS(I,J−1)[p], the accumulator row starts as the bottom table
+// row of T(I−1,J). GRS falls out as the row carries, the bottom row is the
+// final accumulator row; then DONE is released. Every tile adds in the same
+// order whatever the worker count or timing, and row carries and
+// accumulator rows cross tile edges unchanged, so each element sees the
+// adds a whole-matrix sweep would make: results depend only on the input
+// and the shape (bitwise, for floating-point T too, when W is a multiple
+// of 4 and of the SIMD width; Kahan's per-tile compensation adds W).
 //
 // Why not the paper's look-back on the host: it earns its keep with
 // thousands of resident blocks on dependency chains 2·n/W tiles long. Here
@@ -31,24 +32,21 @@
 // timing-dependent. docs/host_engine.md §3 has the measurements; the
 // look-back stays in the gpusim reproduction.
 //
-// Scheduling: serials are handed out as per-worker contiguous claim ranges
-// drawn off a shared cursor, popped front-to-back, with tail-half work
-// stealing once the cursor drains (ClaimScheduler in lookback.hpp). This
-// keeps the paper's increasing-serial discipline per (sub-)range — which is
-// what the deadlock-freedom induction below needs — while claims touch a
-// worker-private cache line instead of storming one global counter.
+// Scheduling: each claim takes the next serial off one shared counter
+// (ClaimScheduler in lookback.hpp), the paper's atomicAdd work counter.
+// One ticket per tile keeps the tiles of one anti-diagonal in flight on
+// different workers at once.
 //
-// Deadlock-freedom with a finite thread pool: both neighbour waits of
-// T(I,J) point to a tile with a strictly smaller serial. Ranges are drawn
-// only by running workers and each (sub-)range is consumed in increasing
-// serial order, so the worker owning the globally smallest unfinished
-// serial is currently at that serial — all its dependencies are finished
-// and it never waits; if the smallest unfinished serial is beyond every
-// claimed range, claim code (which never blocks) hands it to some running
-// worker. Workers never block on anything *pool*-related while holding a
-// tile (run_persistent keeps them off the pool mutex). Induction gives
-// progress for any worker count ≥ 1, including oversubscribed and
-// single-core machines (waiters yield the timeslice; see util/backoff.hpp).
+// Deadlock-freedom with a finite thread pool is the paper's induction:
+// serials are handed out in increasing order and both neighbour waits of
+// T(I,J) point to a tile with a strictly smaller serial. The smallest
+// unfinished serial has therefore been claimed by a running worker (claims
+// happen only inside running worker bodies) and all its dependencies are
+// finished, so that worker never waits. Workers never block on anything
+// *pool*-related while holding a tile (run_persistent keeps them off the
+// pool mutex). Induction gives progress for any worker count ≥ 1,
+// including oversubscribed and single-core machines (waiters yield the
+// timeslice; see util/backoff.hpp).
 //
 // Batch pipelining: sat_skss_lb_batch runs B same-shaped images through one
 // serial space of B·tiles serials. Tiles of different images share no data,
@@ -81,21 +79,22 @@ namespace sathost {
 struct SkssLbOptions {
   /// Tile width W (tiles are W×W, clipped at the matrix edges). Any
   /// positive value is accepted — the host has no warp-multiple constraint.
-  /// 0 picks W automatically: ~one tile column per worker, never below 128,
+  /// 0 picks W automatically: two tile columns per worker, never below 128,
   /// capped so a W-element accumulator row fits L1 (16 KiB: 4096 for f32).
   /// Unlike a GPU with thousands of blocks in flight, the host only needs
-  /// enough tiles to feed its few workers, and bigger tiles keep each
-  /// worker's sweep on long contiguous runs of src/dst (with one worker on
-  /// a ≤4096² f32 matrix the auto choice degenerates to a single tile — the
-  /// whole matrix in one fused sweep, the 1R1W limit case).
+  /// enough tiles to keep every worker on an anti-diagonal, and bigger
+  /// tiles keep each worker's sweep on long contiguous runs of src/dst.
+  /// With one worker the choice is the whole matrix (up to the cap) in one
+  /// fused sweep, the 1R1W limit case.
   std::size_t tile_w = 0;
   /// Worker threads acting as blocks; 0 = every thread of the pool. May
   /// exceed the pool size (extra workers queue; see ThreadPool::
   /// run_persistent) — correctness never depends on the count.
   std::size_t workers = 0;
   /// Optional observability (not owned): host.lookback.{flag_wait_us,
-  /// tiles_retired,fastpath_tiles,steals,stolen_tiles,overlap_tiles,
-  /// range_tiles} metrics and one trace span per tile.
+  /// tiles_retired,fastpath_tiles,overlap_tiles} metrics, the
+  /// host.lookback.pipeline_overlap_pct gauge of a batch, and one trace
+  /// span per tile.
   obs::Registry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
   /// Test hook, called right after a worker claims each tile serial (used
@@ -106,10 +105,10 @@ struct SkssLbOptions {
   /// Kahan-compensate the column accumulation inside each tile sweep
   /// (Storage::kKahanF32). Floating-point T only. The compensation row
   /// resets at tile boundaries — the residue a tile hands to the one below
-  /// travels through the published GCS uncompensated — so the error bound
-  /// is O(tiles per column) ulp instead of kahan's O(1), still far below the
-  /// O(rows) ulp of plain f32 accumulation. Uses the 1-deep row kernel
-  /// (the register-blocked variant has no compensated form).
+  /// travels through the published bottom row uncompensated — so the
+  /// error bound is O(tiles per column) ulp instead of kahan's O(1), still
+  /// far below the O(rows) ulp of plain f32 accumulation. Uses the 1-deep
+  /// row kernel (the register-blocked variant has no compensated form).
   bool kahan = false;
 };
 
@@ -205,8 +204,11 @@ void sat_skss_lb_batch(ThreadPool& pool,
       opt.workers != 0 ? opt.workers : pool.size();
   std::size_t w = opt.tile_w;
   if (w == 0) {
+    // Two tile columns per worker won a sweep over W and the worker count
+    // at 2048²–8192² f32 (docs/host_engine.md §3, "Tile width").
     const std::size_t maxdim = std::max(rows, cols);
-    w = std::max<std::size_t>(128, (maxdim + nworkers - 1) / nworkers);
+    const std::size_t slices = nworkers == 1 ? 1 : 2 * nworkers;
+    w = std::max<std::size_t>(128, (maxdim + slices - 1) / slices);
     // Cap W so one accumulator row (W elements) stays L1-resident: the fast
     // path carries the column prefix through it on every sweep, and past
     // ~16 KiB it starts thrashing (measured 30% slower at 8192² f32 with an
@@ -224,7 +226,7 @@ void sat_skss_lb_batch(ThreadPool& pool,
   std::vector<LookbackAux<T>> aux;
   aux.reserve(batch);
   for (std::size_t b = 0; b < batch; ++b) aux.emplace_back(tpi, w);
-  ClaimScheduler sched(batch * tpi, nworkers);
+  ClaimScheduler sched(batch * tpi);
 
   LookbackObs obs;
   obs.resolve(opt.metrics);
@@ -254,21 +256,17 @@ void sat_skss_lb_batch(ThreadPool& pool,
 
     const auto in = iaux.wait_neighbours(grid, ti, tj, obs);
     const T* grs_in = in.grs;
-    const T* gcs_in = in.gcs;
-    const T corner = in.corner;
 
     // One fused sweep straight into dst, seeded with the neighbours'
-    // prefixes, so each output element is final as it is stored.
+    // prefixes, so each output element is final as it is stored. The
+    // accumulator row continues the upper tile's bottom row as is.
     T* grs_self = iaux.grs.get() + iaux.vec_base(self);
-    T* gcs_self = iaux.gcs.get() + iaux.vec_base(self);
+    T* bottom_self = iaux.bottom.get() + iaux.vec_base(self);
     T* acc = arena.acc();
-    T band_left{};  // Σ GRS(I,J−1) — SAT(r1, c0−1) together with corner
-    {
-      T run = corner;
-      for (std::size_t q = 0; q < Q; ++q) {
-        run += gcs_in != nullptr ? gcs_in[q] : T{};
-        acc[q] = run;
-      }
+    if (in.bottom != nullptr) {
+      std::copy(in.bottom, in.bottom + Q, acc);
+    } else {
+      std::fill(acc, acc + Q, T{});
     }
     std::size_t p = 0;
     if constexpr (std::is_floating_point_v<T>) {
@@ -280,7 +278,6 @@ void sat_skss_lb_batch(ThreadPool& pool,
         std::fill(comp, comp + Q, T{});
         for (; p < P; ++p) {
           const T carry_in = grs_in != nullptr ? grs_in[p] : T{};
-          band_left += carry_in;
           grs_self[p] = kahan_row_scan_acc(&src(r0 + p, c0), acc, comp,
                                            &dst(r0 + p, c0), Q, carry_in,
                                            allow_stream);
@@ -293,24 +290,18 @@ void sat_skss_lb_batch(ThreadPool& pool,
       T* drows[4] = {&dst(r0 + p, c0), &dst(r0 + p + 1, c0),
                      &dst(r0 + p + 2, c0), &dst(r0 + p + 3, c0)};
       T carries[4];
-      for (std::size_t k = 0; k < 4; ++k) {
+      for (std::size_t k = 0; k < 4; ++k)
         carries[k] = grs_in != nullptr ? grs_in[p + k] : T{};
-        band_left += carries[k];
-      }
       simd_row_scan_acc4(srows, acc, drows, Q, carries, allow_stream);
       for (std::size_t k = 0; k < 4; ++k) grs_self[p + k] = carries[k];
     }
     for (; p < P; ++p) {
       const T carry_in = grs_in != nullptr ? grs_in[p] : T{};
-      band_left += carry_in;
       grs_self[p] = simd_row_scan_acc(&src(r0 + p, c0), acc, &dst(r0 + p, c0),
                                       Q, carry_in, allow_stream);
     }
-    // acc now holds the tile's bottom output row: GCS by differencing
-    // (exact for integral T), GS is its last entry.
-    gcs_self[0] = acc[0] - (band_left + corner);
-    for (std::size_t q = 1; q < Q; ++q) gcs_self[q] = acc[q] - acc[q - 1];
-    iaux.gs[self] = acc[Q - 1];
+    // acc now holds the tile's bottom output row.
+    std::copy(acc, acc + Q, bottom_self);
     iaux.status.publish(self, hflag::kDone);
 
 #if SATLIB_OBS_ENABLED
@@ -337,10 +328,8 @@ void sat_skss_lb_batch(ThreadPool& pool,
     detail::TileArena<T> arena(w);
 
     for (;;) {
-      // Self-assignment: chunked diagonal-major claim ranges with tail
-      // stealing — the host form of the paper's atomicAdd work counter,
-      // minus the all-worker cache-line storm.
-      const std::size_t serial = sched.next(worker_index, obs);
+      // Self-assignment: the next diagonal-major serial, one per claim.
+      const std::size_t serial = sched.next();
       if (serial == ClaimScheduler::kNone) break;
       if (opt.tile_hook) opt.tile_hook(serial);
       const std::size_t img = serial / tpi;

@@ -4,6 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -36,6 +42,35 @@ ThreadPool::ThreadPool(std::size_t workers) {
   for (std::size_t i = 0; i + 1 < workers; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i + 1); });
   }
+  pin_helpers();
+}
+
+// Pins helper i to the (i+1)-th CPU of the constructing thread's affinity
+// mask after that thread's CPU, round-robin. A helper woken through work_cv_
+// may otherwise be placed on the waker's CPU, and the load balancer can
+// take about a second to pull the two apart (measured on a KVM guest) —
+// so after an idle spell a 2-lane batch ran time-sliced on one core. With
+// a one-CPU mask there is nowhere else to go, and nothing is pinned.
+void ThreadPool::pin_helpers() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof mask, &mask) != 0) return;
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+  if (cpus.size() < 2) return;
+  const auto first_after = std::upper_bound(cpus.begin(), cpus.end(),
+                                            sched_getcpu()) -
+                           cpus.begin();
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus[(first_after + i) % cpus.size()], &one);
+    (void)pthread_setaffinity_np(threads_[i].native_handle(), sizeof one,
+                                 &one);
+  }
+#endif
 }
 
 void ThreadPool::set_obs(obs::Registry* reg, obs::TraceSink* trace) {

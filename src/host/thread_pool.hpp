@@ -30,7 +30,11 @@ namespace sathost {
 
 class ThreadPool {
  public:
-  /// `workers == 0` picks the hardware concurrency (at least 1).
+  /// `workers == 0` picks the hardware concurrency (at least 1). Each
+  /// helper thread is pinned to one CPU of the constructing thread's
+  /// affinity mask, round-robin starting after that thread's CPU, so a
+  /// batch submitted from it does not stack a helper on its core while
+  /// the mask has a CPU per helper to spare.
   explicit ThreadPool(std::size_t workers = 0);
   ~ThreadPool();
 
@@ -70,6 +74,7 @@ class ThreadPool {
  private:
   struct Batch;
 
+  void pin_helpers();
   void submit_and_wait(std::size_t chunks,
                        const std::function<void(std::size_t)>& fn,
                        bool instrument);

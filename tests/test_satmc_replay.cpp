@@ -105,12 +105,12 @@ CeSchedule parse_ce(const std::string& text) {
     ce.blocked.push_back({static_cast<std::size_t>(json_int(o, "worker")),
                           static_cast<std::size_t>(json_int(o, "tile")),
                           static_cast<std::uint8_t>(json_int(o, "want"))});
-  // A tile grant is a "pops serial" step. The scheduler's other claim-round
-  // outcomes (range draws, steals, exits) are bookkeeping with no mini-engine
-  // counterpart — the pick loop skips them as stale for unmapped workers.
+  // A tile grant is a "claims serial" step. The other claim outcome (an
+  // exit) has no mini-engine counterpart — the pick loop skips it as stale
+  // for unmapped workers.
   for (const std::string& o : json_objects(text, "schedule"))
     ce.steps.emplace_back(static_cast<std::size_t>(json_int(o, "worker")),
-                          json_str(o, "desc").find(" pops serial ") !=
+                          json_str(o, "desc").find(" claims serial ") !=
                               std::string::npos);
   return ce;
 }
@@ -119,11 +119,9 @@ CeSchedule parse_ce(const std::string& text) {
 // The real per-tile protocol of src/host/sat_skss_lb.hpp — the same two
 // neighbour waits through the real StatusFlags::wait_at_least, the same
 // DONE publish — with satmc's sigma-order-inversion seeded into the claim:
-// serials are handed out in *decreasing* diagonal-major order. The engine
-// proper claims through chunked per-worker ranges
-// (sathost::ClaimScheduler); a plain shared counter replays the emitted
-// schedule faithfully because its pops are refills popped in cursor order,
-// so the n-th granted serial is tiles-1-n either way.
+// serials are handed out in *decreasing* diagonal-major order off the same
+// one-ticket-per-tile counter the engine claims through
+// (sathost::ClaimScheduler), so the n-th granted serial is tiles-1-n.
 
 struct MiniEngine {
   satalgo::TileGrid grid;
@@ -138,8 +136,7 @@ struct MiniEngine {
     // below reads slots of tiles nobody claimed — zero them here.
     const std::size_t n = grid.count();
     std::fill(aux.grs.get(), aux.grs.get() + n, 0);
-    std::fill(aux.gcs.get(), aux.gcs.get() + n, 0);
-    std::fill(aux.gs.get(), aux.gs.get() + n, 0);
+    std::fill(aux.bottom.get(), aux.bottom.get() + n, 0);
   }
 
   void process_tile(std::size_t ti, std::size_t tj) {
@@ -150,12 +147,9 @@ struct MiniEngine {
     if (ti > 0)
       aux.status.wait_at_least(grid.idx(ti - 1, tj), hflag::kDone, obs);
     const long long left = tj > 0 ? aux.grs[grid.idx(ti, tj - 1)] : 0;
-    const long long up = ti > 0 ? aux.gcs[grid.idx(ti - 1, tj)] : 0;
-    const long long corner =
-        ti > 0 && tj > 0 ? aux.gs[grid.idx(ti - 1, tj - 1)] : 0;
+    const long long up = ti > 0 ? aux.bottom[grid.idx(ti - 1, tj)] : 0;
     aux.grs[self] = left + 1;
-    aux.gcs[self] = up + 1;
-    aux.gs[self] = corner + left + up + 1;
+    aux.bottom[self] = up + left + 1;
     aux.status.publish(self, hflag::kDone);
   }
 

@@ -1,12 +1,11 @@
 // Multicore scaling gate for the host 1R1W-SKSS-LB engine.
 //
-// The claim-range scheduler exists so that adding workers adds throughput:
-// per-worker diagonal-major ranges keep each worker on contiguous serials
-// (no shared-counter ping-pong), and tail-half stealing rebalances the
-// trailing anti-diagonals. This test pins the headline claim — two workers
-// beat one on a 4096x4096 image — as a ctest that SKIPS on single-core
-// boxes (a 1-core machine can only measure oversubscription overhead,
-// which the perf ledger's skss_lb_t* rows document instead).
+// Adding workers must add throughput: one claim ticket per tile keeps the
+// tiles of an anti-diagonal running side by side, and the pool keeps its
+// helpers off the caller's CPU. This test pins the headline claim — two
+// workers beat one on a 4096x4096 image — as a ctest that SKIPS on
+// single-core boxes (a 1-core machine can only measure oversubscription
+// overhead, which the perf ledger's skss_lb_t* rows document instead).
 //
 // Timing discipline matches tools/run_benches.cpp: the worker counts are
 // INTERLEAVED, one iteration of each per round with best-of tracking, so

@@ -389,8 +389,10 @@ void Server::run_batch_typed(std::vector<Job>& batch) {
     if (failure.empty()) {
       const auto payload = encode_matrix_payload(
           rows, cols, job.dtype, results[b].data());
-      send_bytes(job.conn, encode_frame(Type::kResult, job.trace_id, payload));
+      // Count before the write: a client that reads its reply and then
+      // scrapes /metrics must see this response in responses_total.
       m_responses_->add();
+      send_bytes(job.conn, encode_frame(Type::kResult, job.trace_id, payload));
     } else {
       send_error(job.conn, job.trace_id, ErrorCode::kInternal, failure);
     }

@@ -18,8 +18,8 @@ code states is exactly the fact the model declares (`satmc --dump-model`):
   * per engine (src/host/sat_skss_lb.hpp and src/host/sat_residual.hpp),
     the tile's protocol steps in source order: the neighbour wait, then
     the publishes;
-  * the claim-range scheduler: cursor order, pop/steal CAS orders, the
-    tail-half split, the chunk formula;
+  * the claim counter: one `work_counter_.fetch_add(1, relaxed)` per tile,
+    and no steal or CAS path beside it;
   * the paper's device lattice (rflag/cflag in src/sat/aux_arrays.hpp and
     the transition tables + terminal states registered with the protocol
     checker in src/sat/protocol_specs.hpp) against the model's reference
@@ -66,21 +66,13 @@ WAIT_CALL = re.compile(
 WAIT_NEIGHBOURS_CALL = re.compile(r"\w*aux\s*\.\s*wait_neighbours\s*\(")
 # The two neighbour index expressions, whitespace-free.
 NEIGHBOURS = {"ti,tj-1": "left", "ti-1,tj": "up"}
-# work_counter_.fetch_add(chunk_, std::memory_order_relaxed) — the claim
-# cursor lives in ClaimScheduler (src/host/lookback.hpp) since the
-# claim-range scheme replaced the engine's per-tile counter.
-CLAIM_ORDER = re.compile(
-    r"work_counter_?\s*\.\s*fetch_add\s*\([^)]*memory_order(?:::|_)(\w+)")
-# compare_exchange_weak(cur, pack(...), std::memory_order_relaxed, ...) —
-# the pop/steal CASes of ClaimScheduler.
-CLAIM_CAS_ORDER = re.compile(
-    r"compare_exchange_weak\s*\(\s*cur\s*,[^;]*?memory_order(?:::|_)(\w+)")
-# The tail-half split point of the steal.
-STEAL_SPLIT = re.compile(r"next\s*\+\s*\(\s*end\s*-\s*next\s*\)\s*/\s*2")
-# range_chunk's ceil(total / (2*workers)): the two-slices-per-worker divisor
-# and the round-up numerator.
-CHUNK_SLICES = re.compile(r"2\s*\*\s*std::max<\s*std::size_t\s*>\s*\(\s*1")
-CHUNK_CEIL = re.compile(r"\+\s*slices\s*-\s*1\s*\)\s*/\s*slices")
+# work_counter_.fetch_add(1, std::memory_order_relaxed) — the claim counter
+# of ClaimScheduler (src/host/lookback.hpp): its increment and its order.
+CLAIM_CALL = re.compile(
+    r"work_counter_\s*\.\s*fetch_add\s*\(\s*([^,()]+?)\s*,"
+    r"[^)]*memory_order(?:::|_)(\w+)")
+# Any second claim path: a steal, or a CAS on claim state.
+STEAL_PATH = re.compile(r"steal|compare_exchange", re.IGNORECASE)
 # {0, rflag::kLrs},  /  {rflag::kGls, rflag::kGs},
 TRANSITION_ROW = re.compile(
     r"\{\s*(0|[rc]flag::k\w+)\s*,\s*([rc]flag::k\w+)\s*\}")
@@ -269,25 +261,22 @@ def main() -> int:
                  for m in TERMINAL_DECL.finditer(specs_text)}
     conf.expect("terminal states", terminals, paper["terminal"])
 
-    # 5. The claim-range scheduler (ClaimScheduler, lookback.hpp): cursor
-    # order, pop/steal CAS orders, the tail-half split, the chunk formula.
-    print(f"[claim scheduler] {lookback_path}")
-    claim = CLAIM_ORDER.findall(lookback_text)
-    conf.expect("claim cursor fetch_add order", sorted(set(claim)),
+    # 5. The claim counter (ClaimScheduler, lookback.hpp): one ticket per
+    # tile — fetch_add(1), relaxed — and no steal or CAS path beside it.
+    print(f"[claim counter] {lookback_path}")
+    claims = CLAIM_CALL.findall(lookback_text)
+    conf.expect("claim counter fetch_add increments",
+                sorted({inc for inc, _ in claims}),
+                [dump["claim"]["increment"]])
+    conf.expect("claim counter fetch_add order",
+                sorted({order for _, order in claims}),
                 [dump["orders"]["claim"]])
-    cas = CLAIM_CAS_ORDER.findall(lookback_text)
-    conf.expect("pop/steal CAS orders (success order per CAS)",
-                sorted(set(cas)), [dump["orders"]["steal"]])
-    conf.expect("steal takes the tail half",
-                "tail-half cas" if STEAL_SPLIT.search(lookback_text)
-                else "absent", dump["claim"]["steal"])
-    chunk_code = "ceil(total / (2 * workers))" \
-        if CHUNK_SLICES.search(lookback_text) and \
-        CHUNK_CEIL.search(lookback_text) else "absent"
-    conf.expect("range chunk formula", chunk_code, dump["claim"]["chunk"])
-    conf.expect("claim cursor name",
+    conf.expect("steal or CAS claim path",
+                "present" if STEAL_PATH.search(lookback_text) else "absent",
+                dump["claim"]["steal"])
+    conf.expect("claim counter name",
                 "work_counter_" if "work_counter_" in lookback_text
-                else "absent", dump["claim"]["cursor"])
+                else "absent", dump["claim"]["counter"])
 
     print(f"conformance: {conf.checked} facts checked, "
           f"{len(conf.errors)} mismatches")

@@ -9,22 +9,22 @@
 // so the model walks exactly the σ serial order the engine walks.
 //
 // Per tile the engine claims a serial, waits until its left neighbour is
-// DONE, waits until its upper neighbour is DONE, reads their published sums
-// (GRS left, GCS up, GS of the diagonal tile — covered transitively by the
-// upper tile's own wait), writes its own GRS/GCS/GS and dst, and releases
-// its DONE flag. The model has one transition per visible step of that
-// sequence: a claim round, each neighbour observe, and the publish. No
+// DONE, waits until its upper neighbour is DONE, reads what they published
+// (the GRS of the left tile, the bottom table row of the upper tile), writes
+// its own GRS, bottom row and dst, and releases its DONE flag. The model has one transition per visible step of that
+// sequence: the claim, each neighbour observe, and the publish. No
 // worker reads another tile's dst, so where the dst store sits relative to
 // the release is invisible to the protocol (the residual encoder stores
 // its tile after releasing DONE); the model stores it in the publish step.
 //
-// State = (claim cursor) × (per-worker record) × (per-tile flag + value
+// State = (claim counter) × (per-worker record) × (per-tile flag + value
 // lattice). One reduction keeps 4×4 grids with 4 workers cheap: the
 // explorer fires a neighbour observe whose flag is already DONE, and the
 // exit step once nothing is left to claim, eagerly (Model::eager). Both
 // touch only the worker's own record and stay enabled forever (flags are
-// monotone, the cursor never moves back), so they commute with every other
-// transition and pruning their interleavings loses no reachable violation.
+// monotone, the counter never moves back), so they commute with every
+// other transition and pruning their interleavings loses no reachable
+// violation.
 //
 // Release/acquire is modeled with a per-value visibility lattice
 // UNWRITTEN → LOCAL → VISIBLE: a worker's writes land as LOCAL (its store
@@ -62,13 +62,12 @@ inline constexpr std::uint8_t kDone = 1;
 /// the packed tile byte.
 enum Value : std::uint8_t {
   kValGrs = 0,
-  kValGcs = 1,
-  kValGs = 2,
-  kValCount = 3,
+  kValBottom = 1,
+  kValCount = 2,
 };
 
 inline const char* value_name(std::uint8_t v) {
-  static const char* names[kValCount] = {"GRS", "GCS", "GS"};
+  static const char* names[kValCount] = {"GRS", "bottom row"};
   return v < kValCount ? names[v] : "?";
 }
 
@@ -82,8 +81,7 @@ enum Vis : std::uint8_t {
 /// Worker program counter: one value per visible step of the worker lambda
 /// in src/host/sat_skss_lb.hpp.
 enum class Phase : std::uint8_t {
-  kClaim = 0,  ///< one claim round: pop own range, else refill off the
-               ///< cursor, else steal a peer's tail half or exit
+  kClaim = 0,  ///< σ = counter++ (one fetch_add), or exit when σ ≥ tiles
   kWaitLeft,   ///< wait status[left] ≥ DONE
   kWaitUp,     ///< wait status[up] ≥ DONE
   kPublish,    ///< read the neighbours' sums, write own sums + dst,
@@ -111,19 +109,18 @@ enum class Mutation : std::uint8_t {
   /// Release DONE *before* the tile's sums are written (they land in a
   /// later step). A neighbour that trusts the flag reads an unwritten GRS.
   kFlagBeforeData,
-  /// The range pops hand serials out in *decreasing* order. Neighbour
-  /// waits then point at tiles claimed after the waiter; with fewer
-  /// workers than tiles every worker ends up blocked on an unclaimed tile.
+  /// The counter hands serials out in *decreasing* order. Neighbour waits
+  /// then point at tiles claimed after the waiter; with fewer workers than
+  /// tiles every worker ends up blocked on an unclaimed tile.
   kSigmaInversion,
   /// The DONE publish loses its release. The flag becomes observable while
   /// the sums are still in the writer's store buffer; a neighbour on
   /// another worker reads a value no release edge ever made visible.
   kDroppedRelease,
-  /// The steal loses the victim-side CAS (a lost update): the thief
-  /// installs the stolen tail [mid, end) but the victim's span keeps it
-  /// too, so both workers pop the same serials — the model's rendering of
-  /// a steal that reads, splits, and re-reads without the atomic exchange.
-  kRacySteal,
+  /// The claim reads the counter and writes it back in a second step
+  /// instead of one atomic RMW (a lost update): two workers can read the
+  /// same σ and both process its tile.
+  kRacyClaim,
 };
 
 inline const char* mutation_name(Mutation m) {
@@ -132,7 +129,7 @@ inline const char* mutation_name(Mutation m) {
     case Mutation::kFlagBeforeData: return "flag-before-data";
     case Mutation::kSigmaInversion: return "sigma-order-inversion";
     case Mutation::kDroppedRelease: return "dropped-release";
-    case Mutation::kRacySteal: return "racy-steal";
+    case Mutation::kRacyClaim: return "racy-claim";
   }
   return "?";
 }
@@ -171,50 +168,37 @@ struct BlockedWait {
 /// The transition system for one (g_rows × g_cols tiles, nworkers) config.
 ///
 /// Packed state layout (state_size() bytes):
-///   [0]                       range cursor (serials granted to ranges)
-///   [1 + 5w .. 1 + 5w + 4]    worker w: phase, serial (0xFF = none),
-///                             range next, range end, pending tile
-///                             (0xFF = store buffer empty)
+///   [0]                       claim counter (serials handed out)
+///   [1 + 3w .. 1 + 3w + 2]    worker w: phase, serial (0xFF = none),
+///                             pending tile (0xFF = store buffer empty)
 ///   [base_t + t]              tile t: DONE (bit 0) | dst stored (bit 1) |
-///                             value lattice (3 values × 2 bits, bits 2..7)
+///                             value lattice (2 values × 2 bits, bits 2..5)
 ///
-/// The claim layer mirrors sathost::ClaimScheduler: each worker owns a
-/// contiguous serial range [next, end) drawn off the shared cursor in
-/// chunks of ceil(tiles / (2·workers)), pops it front-to-back, and — once
-/// the cursor is drained and its own range empty — either steals the tail
-/// half of a peer's range or exits. Pop, refill and steal are each a single
-/// CAS/fetch_add in the engine, so each is one model transition; exit is
-/// offered as a *choice* even while victims are visible, a sound
-/// over-approximation of the engine's refill window (the cursor moves one
-/// atomic before the refilled span becomes visible, so a scanning thief can
-/// miss it and leave empty-handed). Claims carry no release edges in the
-/// model — a serial is a pure work token, and the checker proves the DONE
-/// flags alone guard every cross-tile read.
+/// The claim layer mirrors sathost::ClaimScheduler: σ = counter++, one
+/// fetch_add and so one model transition, and the worker exits once σ
+/// passes the last serial. Claims carry no release edges in the model — a
+/// serial is a pure work token, and the checker proves the DONE flags
+/// alone guard every cross-tile read.
 ///
 /// Workers are symmetric: no transition reads a worker index and tile
-/// records name no worker (steal victims are chosen by record value, not
-/// index), so permuting the worker records of any reachable state yields a
-/// reachable state with the same future. canonicalize() sorts the records;
-/// the explorer stores only canonical representatives.
+/// records name no worker, so permuting the worker records of any
+/// reachable state yields a reachable state with the same future.
+/// canonicalize() sorts the records; the explorer stores only canonical
+/// representatives.
 class Model {
  public:
   /// Bytes per packed worker record.
-  static constexpr std::size_t kWRec = 5;
+  static constexpr std::size_t kWRec = 3;
   static constexpr std::uint8_t kNoTile = 0xFF;
 
   Model(std::size_t g_rows, std::size_t g_cols, std::size_t nworkers,
         Mutation mutation = Mutation::kNone)
-      : grid_(g_rows, g_cols, 1), nw_(nworkers), mut_(mutation) {
-    const std::size_t slices = 2 * nw_;
-    chunk_ = static_cast<std::uint8_t>(
-        std::max<std::size_t>(1, (tiles() + slices - 1) / slices));
-  }
+      : grid_(g_rows, g_cols, 1), nw_(nworkers), mut_(mutation) {}
 
   [[nodiscard]] std::size_t workers() const { return nw_; }
   [[nodiscard]] std::size_t tiles() const { return grid_.count(); }
   [[nodiscard]] const satalgo::TileGrid& grid() const { return grid_; }
   [[nodiscard]] Mutation mutation() const { return mut_; }
-  [[nodiscard]] std::size_t chunk() const { return chunk_; }
 
   [[nodiscard]] std::size_t state_size() const {
     return 1 + kWRec * nw_ + grid_.count();
@@ -234,14 +218,6 @@ class Model {
   }
   [[nodiscard]] Phase phase(const std::uint8_t* s, std::size_t w) const {
     return static_cast<Phase>(s[1 + kWRec * w]);
-  }
-  [[nodiscard]] std::uint8_t range_next(const std::uint8_t* s,
-                                        std::size_t w) const {
-    return s[1 + kWRec * w + 2];
-  }
-  [[nodiscard]] std::uint8_t range_end(const std::uint8_t* s,
-                                       std::size_t w) const {
-    return s[1 + kWRec * w + 3];
   }
   [[nodiscard]] bool done(const std::uint8_t* s, std::size_t t) const {
     return (s[tile_base(t)] & 0x1) != 0;
@@ -281,7 +257,7 @@ class Model {
   ///   * a neighbour observe whose flag is already DONE — the step only
   ///     advances `w`'s own phase, and the flag never falls again;
   ///   * the exit step once nothing is left to claim (σ never decreases) and
-//     the worker's store buffer is empty.
+  ///     the worker's store buffer is empty.
   ///
   /// Such a transition commutes with every transition of every other
   /// worker, stays enabled forever, and cannot be part of a cycle (the
@@ -290,18 +266,13 @@ class Model {
   [[nodiscard]] bool eager(const std::uint8_t* s, std::size_t w) const {
     const Phase p = phase(s, w);
     if (p == Phase::kClaim) {
-      // The exit step is forced (and invisible) only when the cursor is
-      // drained and *no* span anywhere holds work — a condition that can
-      // never become false again. While any victim is visible the round is
-      // a real choice point (steal whom, or exit early) and stays lazy. An
-      // exit that drains an unreleased store buffer is visible and stays
-      // lazy too (only a mutated publish leaves one behind).
-      if (range_next(s, w) < range_end(s, w) || s[0] < tiles() ||
-          wpending(s, w) != kNoTile)
-        return false;
-      for (std::size_t w2 = 0; w2 < nw_; ++w2)
-        if (range_next(s, w2) < range_end(s, w2)) return false;
-      return true;
+      // The exit step is forced (and invisible) once the counter has
+      // passed the last serial. An exit that drains an unreleased store
+      // buffer is visible and stays lazy (only a mutated publish leaves
+      // one behind), and so does every exit under racy-claim, whose
+      // write-back can move the counter back.
+      return s[0] >= tiles() && wpending(s, w) == kNoTile &&
+             mut_ != Mutation::kRacyClaim;
     }
     return is_wait(p) && done(s, wait_of(s, w).tile);
   }
@@ -318,29 +289,14 @@ class Model {
     return bw;
   }
 
-  /// Nondeterministic branching degree of worker `w`'s next transition.
-  /// Every phase is deterministic except a claim round at the steal point,
-  /// which chooses a victim (by record value, keeping worker symmetry
-  /// sound) or exits. The explorer expands one successor per choice.
-  [[nodiscard]] std::size_t num_choices(const std::uint8_t* s,
-                                        std::size_t w) const {
-    if (phase(s, w) != Phase::kClaim) return 1;
-    if (range_next(s, w) < range_end(s, w)) return 1;  // pop
-    if (s[0] < tiles()) return 1;                      // refill
-    std::size_t cand[16];
-    return steal_candidates(s, w, cand) + 1;           // steals + exit
-  }
-
   /// Fires worker `w`'s next transition in place. Must only be called when
-  /// enabled(s, w) with choice < num_choices(s, w). Returns the first
-  /// invariant violation, if any; when `desc` is non-null it receives a
-  /// human-readable line for the schedule printout (filled for kOk steps
-  /// too).
-  Verdict apply(std::uint8_t* s, std::size_t w, std::string* desc,
-                std::size_t choice = 0) const {
+  /// enabled(s, w). Returns the first invariant violation, if any; when
+  /// `desc` is non-null it receives a human-readable line for the schedule
+  /// printout (filled for kOk steps too).
+  Verdict apply(std::uint8_t* s, std::size_t w, std::string* desc) const {
     switch (phase(s, w)) {
       case Phase::kClaim:
-        return claim_round(s, w, desc, choice);
+        return claim(s, w, desc);
       case Phase::kWaitLeft:
       case Phase::kWaitUp:
         return observe(s, w, desc);
@@ -413,42 +369,18 @@ class Model {
                                      std::size_t w) const {
     return s[1 + kWRec * w + 1];
   }
-  [[nodiscard]] std::uint8_t& wrnext(std::uint8_t* s, std::size_t w) const {
-    return s[1 + kWRec * w + 2];
-  }
-  [[nodiscard]] std::uint8_t& wrend(std::uint8_t* s, std::size_t w) const {
-    return s[1 + kWRec * w + 3];
-  }
   [[nodiscard]] std::uint8_t& wpending(std::uint8_t* s, std::size_t w) const {
-    return s[1 + kWRec * w + 4];
+    return s[1 + kWRec * w + 2];
   }
   [[nodiscard]] std::uint8_t wpending(const std::uint8_t* s,
                                       std::size_t w) const {
-    return s[1 + kWRec * w + 4];
+    return s[1 + kWRec * w + 2];
   }
   void set_phase(std::uint8_t* s, std::size_t w, Phase p) const {
     s[1 + kWRec * w] = static_cast<std::uint8_t>(p);
   }
 
-  /// Steal victims of `thief`: every other worker holding a non-empty
-  /// range, ordered by record *value* (not index) so the choice numbering
-  /// is stable under the worker permutations symmetry reduction applies.
-  /// Ties (identical records) lead to identical canonical successors, so
-  /// which one replay picks is immaterial.
-  std::size_t steal_candidates(const std::uint8_t* s, std::size_t thief,
-                               std::size_t out[16]) const {
-    std::size_t n = 0;
-    for (std::size_t w = 0; w < nw_; ++w)
-      if (w != thief && range_next(s, w) < range_end(s, w)) out[n++] = w;
-    std::stable_sort(out, out + n, [&](std::size_t a, std::size_t b) {
-      return std::lexicographical_compare(
-          s + 1 + kWRec * a, s + 1 + kWRec * (a + 1), s + 1 + kWRec * b,
-          s + 1 + kWRec * (b + 1));
-    });
-    return n;
-  }
-
-  /// The first step of a freshly popped tile: its first neighbour wait, or
+  /// The first step of a freshly claimed tile: its first neighbour wait, or
   /// the publish for the corner tile, which has no neighbours.
   [[nodiscard]] Phase first_phase(std::size_t ti, std::size_t tj) const {
     if (tj > 0) return Phase::kWaitLeft;
@@ -456,72 +388,60 @@ class Model {
     return Phase::kPublish;
   }
 
-  /// One claim round of sathost::ClaimScheduler::next: pop the own range,
-  /// else draw a chunk off the cursor, else steal a victim's tail half or
-  /// exit. Each arm is one atomic RMW in the engine (the pop/refill
-  /// *checks* read only state no other worker can grow, so fusing them
-  /// with the RMW behind them is exact, not a reduction).
-  Verdict claim_round(std::uint8_t* s, std::size_t w, std::string* desc,
-                      std::size_t choice) const {
-    if (wrnext(s, w) < wrend(s, w)) {  // pop
-      const std::uint8_t at = wrnext(s, w)++;
-      const std::uint8_t serial =
-          mut_ == Mutation::kSigmaInversion
-              ? static_cast<std::uint8_t>(tiles() - 1 - at)
-              : at;
-      wserial(s, w) = serial;
-      const auto [ti, tj] = grid_.tile_of_serial(serial);
-      set_phase(s, w, first_phase(ti, tj));
+  /// sathost::ClaimScheduler::next: σ = counter++ in one atomic RMW, or
+  /// exit once the counter has passed the last serial. Under racy-claim a
+  /// claim takes two steps: the first reads the counter into the worker's
+  /// serial, the second (the worker still in kClaim with that serial set)
+  /// writes it back.
+  Verdict claim(std::uint8_t* s, std::size_t w, std::string* desc) const {
+    if (mut_ == Mutation::kRacyClaim && wserial(s, w) != kNoTile)
+      return claim_store(s, w, desc);
+    const std::uint8_t at = s[0];
+    if (at >= tiles()) {
+      // Exiting joins the pool, which drains the worker's store buffer.
+      drain(s, w);
+      set_phase(s, w, Phase::kDone);
+      note(desc, w, "exits (counter past the last serial)");
+      return Verdict::kOk;
+    }
+    if (mut_ == Mutation::kRacyClaim) {
+      wserial(s, w) = at;
       if (desc != nullptr) {
         char buf[96];
-        std::snprintf(buf, sizeof buf, "pops serial %u -> tile (%zu,%zu)",
-                      serial, ti, tj);
+        std::snprintf(buf, sizeof buf, "reads the counter: serial %u", at);
         note(desc, w, buf);
       }
       return Verdict::kOk;
     }
-    if (s[0] < tiles()) {  // refill
-      const std::uint8_t base = s[0];
-      const std::uint8_t take = static_cast<std::uint8_t>(
-          std::min<std::size_t>(chunk_, tiles() - base));
-      s[0] = static_cast<std::uint8_t>(base + take);
-      wrnext(s, w) = base;
-      wrend(s, w) = static_cast<std::uint8_t>(base + take);
-      if (desc != nullptr) {
-        char buf[96];
-        std::snprintf(buf, sizeof buf,
-                      "draws range [%u, %u) off the cursor", base,
-                      base + take);
-        note(desc, w, buf);
-      }
-      return Verdict::kOk;
+    s[0] = static_cast<std::uint8_t>(at + 1);
+    return start_tile(s, w,
+                      mut_ == Mutation::kSigmaInversion
+                          ? static_cast<std::uint8_t>(tiles() - 1 - at)
+                          : at,
+                      desc);
+  }
+
+  /// racy-claim's second half: the read σ + 1 is stored back, overwriting
+  /// whatever claims ran in between.
+  Verdict claim_store(std::uint8_t* s, std::size_t w,
+                      std::string* desc) const {
+    const std::uint8_t serial = wserial(s, w);
+    s[0] = static_cast<std::uint8_t>(serial + 1);
+    return start_tile(s, w, serial, desc);
+  }
+
+  /// Worker `w` holds serial `serial` and moves to its tile's first step.
+  Verdict start_tile(std::uint8_t* s, std::size_t w, std::uint8_t serial,
+                     std::string* desc) const {
+    wserial(s, w) = serial;
+    const auto [ti, tj] = grid_.tile_of_serial(serial);
+    set_phase(s, w, first_phase(ti, tj));
+    if (desc != nullptr) {
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "claims serial %u -> tile (%zu,%zu)",
+                    serial, ti, tj);
+      note(desc, w, buf);
     }
-    std::size_t cand[16];
-    const std::size_t n = steal_candidates(s, w, cand);
-    if (choice < n) {  // steal the tail half of the chosen victim
-      const std::size_t v = cand[choice];
-      const std::uint8_t vnext = wrnext(s, v);
-      const std::uint8_t vend = wrend(s, v);
-      const std::uint8_t mid =
-          static_cast<std::uint8_t>(vnext + (vend - vnext) / 2);
-      wrnext(s, w) = mid;
-      wrend(s, w) = vend;
-      if (mut_ != Mutation::kRacySteal) wrend(s, v) = mid;
-      if (desc != nullptr) {
-        char buf[96];
-        std::snprintf(buf, sizeof buf,
-                      "steals range [%u, %u) from w%zu%s", mid, vend, v,
-                      mut_ == Mutation::kRacySteal
-                          ? " -- victim keeps it (lost update)"
-                          : "");
-        note(desc, w, buf);
-      }
-      return Verdict::kOk;
-    }
-    // Exiting joins the pool, which drains the worker's store buffer.
-    drain(s, w);
-    set_phase(s, w, Phase::kDone);
-    note(desc, w, "exits (cursor drained, no range claimed)");
     return Verdict::kOk;
   }
 
@@ -552,11 +472,7 @@ class Model {
           v != Verdict::kOk)
         return v;
     if (ti > 0)
-      if (Verdict v = read(s, grid_.idx(ti - 1, tj), kValGcs, w, desc);
-          v != Verdict::kOk)
-        return v;
-    if (ti > 0 && tj > 0)
-      if (Verdict v = read(s, grid_.idx(ti - 1, tj - 1), kValGs, w, desc);
+      if (Verdict v = read(s, grid_.idx(ti - 1, tj), kValBottom, w, desc);
           v != Verdict::kOk)
         return v;
     if (mut_ == Mutation::kFlagBeforeData) {
@@ -616,8 +532,8 @@ class Model {
     wpending(s, w) = kNoTile;
   }
 
-  /// Worker `w` stores tile `t`'s GRS/GCS/GS into its store buffer (an
-  /// older pending tile drains first) and stores the tile to dst.
+  /// Worker `w` stores tile `t`'s GRS and bottom row into its store buffer
+  /// (an older pending tile drains first) and stores the tile to dst.
   Verdict write_sums(std::uint8_t* s, std::size_t w, std::size_t t,
                      std::string* desc) const {
     drain(s, w);
@@ -691,7 +607,6 @@ class Model {
   satalgo::TileGrid grid_;
   std::size_t nw_;
   Mutation mut_;
-  std::uint8_t chunk_ = 1;
 };
 
 }  // namespace satmc

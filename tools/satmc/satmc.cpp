@@ -47,8 +47,8 @@ struct MutationCase {
 // Smallest configurations that expose each seeded bug: two workers on a
 // 1×2 strip suffice for the read bugs (the right tile's worker reads the
 // left tile's sums as soon as its flag is up), 2×2 for the σ inversion
-// (both workers park on tiles nobody will claim) and for the steal lost
-// update (its double-popped serial lands on one tile's dst twice).
+// (both workers park on tiles nobody will claim), and a single tile for
+// the racy claim (both workers read σ = 0 and store its dst twice).
 constexpr MutationCase kMutationCases[] = {
     {Mutation::kFlagBeforeData, "flag-before-data", 1, 2, 2,
      Verdict::kReadUnwritten},
@@ -56,7 +56,7 @@ constexpr MutationCase kMutationCases[] = {
      Verdict::kDeadlock},
     {Mutation::kDroppedRelease, "dropped-release", 1, 2, 2,
      Verdict::kReadUnreleased},
-    {Mutation::kRacySteal, "racy-steal", 2, 2, 2, Verdict::kDstRewrite},
+    {Mutation::kRacyClaim, "racy-claim", 1, 1, 2, Verdict::kDstRewrite},
 };
 
 Mutation parse_mutation(const std::string& name) {
@@ -130,16 +130,9 @@ void dump_model() {
   "flags": {"DONE": 1},
   "waits": [["left", "DONE"], ["up", "DONE"]],
   "tile_sequence": ["wait", "DONE"],
-  "claim": {
-    "scheme": "chunked-range-steal",
-    "chunk": "ceil(total / (2 * workers))",
-    "pop": "own-span cas",
-    "refill": "cursor fetch_add",
-    "steal": "tail-half cas",
-    "cursor": "work_counter_"
-  },
-  "orders": {"publish": "release", "observe": "acquire", "claim": "relaxed",
-             "steal": "relaxed"},
+  "claim": {"scheme": "one ticket per tile", "counter": "work_counter_",
+            "increment": "1", "steal": "absent"},
+  "orders": {"publish": "release", "observe": "acquire", "claim": "relaxed"},
   "paper_lattice": {
     "flags": {
       "R": {"LRS": 1, "GRS": 2, "GLS": 3, "GS": 4},
