@@ -253,7 +253,7 @@ Stats compute_sat_batch_into(
       opts.storage == Storage::kTiledResidual) {
     // One batched claim-range residual pass, decoded into the caller's
     // dense buffers (the wire/result format stays dense; the engine's
-    // output traffic is the narrow residual planes).
+    // output traffic is the narrow residual plane).
     const std::size_t w = residual_tile_w(opts);
     std::vector<TiledSat<T>> tiled;
     std::vector<TiledSat<T>*> ptrs;

@@ -94,6 +94,7 @@ void sat_residual(satutil::Span2d<const T> src, sat::TiledSat<T>& out,
   std::vector<Wide> bandrow(w);
   std::vector<Wide> row_band(w), col_band(w);
 
+  out.begin_encode();
   for (std::size_t ti = 0; ti < out.tile_rows(); ++ti) {
     const std::size_t r0 = ti * w;
     const std::size_t P = std::min(w, rows - r0);
@@ -194,6 +195,7 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
 #endif
 
   const bool allow_stream = rows * cols * sizeof(T) >= kStreamMinBytes;
+  for (sat::TiledSat<T>* out : outs) out->begin_encode();
 
   auto process_tile = [&](LookbackAux<Wide>& iaux,
                           satutil::Span2d<const T> src, sat::TiledSat<T>& out,

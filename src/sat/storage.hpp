@@ -31,21 +31,35 @@
 // the bases are f64; error is bounded by the f32 representation of the
 // tile-local values (see docs/host_engine.md, "Storage modes").
 //
-// Layout: residual planes are indexed tile-contiguously,
-// `tile*W² + p*W + q`, so every tile slot and every row inside it is
-// 64-byte aligned whenever W is a multiple of 32 — the non-temporal store
-// path in the encoders requires never mixing streamed and regular stores in
-// one cache line. Planes are allocated default-initialized and oversized
-// (one slot per tile for each width); untouched pages are never faulted in,
-// so the three widths coexist at the cost of address space, not RSS.
+// Layout: all residuals live in ONE byte plane. When a tile is encoded it
+// takes a slot of exactly tp·W·sizeof(width) bytes, rounded up to 64, from
+// the plane's bump cursor, and its byte offset is kept beside its width tag;
+// inside the slot the residual of (p, q) sits at p*W + q. Slots start
+// 64-byte aligned, so every row is too whenever W is a multiple of 32 — the
+// non-temporal store path in the encoders requires never mixing streamed and
+// regular stores in one cache line. The slot order follows the order in
+// which tiles claim their slots and may differ from run to run; the values,
+// the width tags and the byte counts do not. Touched memory is therefore
+// plane_bytes() ≈ the residual part of residual_bytes(), however the widths
+// mix. The plane reserves address space for the worst case (8 bytes per
+// element for integral T, 4 for floating T) and is never zero-filled by the
+// library. On Linux a plane of 2 MiB or more is its own 2 MiB-aligned
+// anonymous mapping advised MADV_HUGEPAGE: the encode faults in one 2 MiB
+// page per 2 MiB it writes instead of 512 small ones, and random corner
+// lookups miss the TLB far less. Elsewhere it is a 64-byte-aligned `new`.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #include "core/region.hpp"
 #include "util/check.hpp"
@@ -88,6 +102,87 @@ template <class U>
   if (n == 0) return {};
   return AlignedArray<U>(new (std::align_val_t{64}) U[n]);
 }
+
+[[nodiscard]] constexpr std::size_t round_up(std::size_t n, std::size_t to) {
+  return (n + to - 1) / to * to;
+}
+
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// Frees a residual plane: `mapped` is the length of its huge-page mapping,
+/// or 0 when it came from the aligned `new`.
+struct PlaneFree {
+  std::size_t mapped = 0;
+  void operator()(std::byte* p) const noexcept {
+#if defined(__linux__)
+    if (mapped != 0) {
+      ::munmap(p, mapped);
+      return;
+    }
+#endif
+    ::operator delete[](static_cast<void*>(p), std::align_val_t{64});
+  }
+};
+
+using Plane = std::unique_ptr<std::byte[], PlaneFree>;
+
+/// `bytes` of uninitialized residual storage, 64-byte aligned; 2 MiB-aligned
+/// and advised MADV_HUGEPAGE when it is at least 2 MiB on Linux (see the
+/// file header). Falls back to the aligned `new` if the mapping fails.
+[[nodiscard]] inline Plane make_plane(std::size_t bytes) {
+  if (bytes == 0) return {};
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  if (bytes >= kHugePageBytes) {
+    const std::size_t len = round_up(bytes, kHugePageBytes);
+    // Over-map by one huge page, then trim both ends to 2 MiB boundaries.
+    void* raw = ::mmap(nullptr, len + kHugePageBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw != MAP_FAILED) {
+      const auto at = reinterpret_cast<std::uintptr_t>(raw);
+      const std::size_t head = round_up(at, kHugePageBytes) - at;
+      std::byte* base = static_cast<std::byte*>(raw) + head;
+      if (head != 0) ::munmap(raw, head);
+      ::munmap(base + len, kHugePageBytes - head);
+      (void)::madvise(base, len, MADV_HUGEPAGE);
+      return Plane(base, PlaneFree{len});
+    }
+  }
+#endif
+  return Plane(
+      static_cast<std::byte*>(::operator new[](bytes, std::align_val_t{64})));
+}
+
+/// The residual plane's bump cursor. encode_tile takes each tile's slot with
+/// one relaxed fetch_add, so tiles encoded on different threads get disjoint
+/// byte ranges. Relaxed is enough: the cursor only splits the plane, it
+/// publishes nothing. Readers see the residuals through the encoder's own
+/// happens-before edge (the pool join that ends an encode).
+class SlotCursor {
+ public:
+  SlotCursor() = default;
+  SlotCursor(SlotCursor&& other) noexcept : next_(other.used()) {}
+  SlotCursor& operator=(SlotCursor&& other) noexcept {
+    next_.store(other.used(), std::memory_order_relaxed);
+    return *this;
+  }
+
+  /// Claims `bytes` and returns the offset of the first.
+  std::size_t take(std::size_t bytes) noexcept {
+    return next_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::size_t used() const noexcept {
+    return next_.load(std::memory_order_relaxed);
+  }
+  void rewind() noexcept { next_.store(0, std::memory_order_relaxed); }
+
+ private:
+  // satlint: allow(atomic-whitelist) -- a byte-range bump counter, not a
+  // protocol word: no reader waits on it or infers data visibility from it
+  // (the pool join that ends an encode orders the residual data before any
+  // reader), so relaxed fetch_add is its whole contract and it needs no
+  // audited primitive.
+  std::atomic<std::size_t> next_{0};
+};
 
 /// Folds `row[0..n)` into the running [mn, mx] range. 8-lane AVX2 sweep for
 /// the 4-byte types (the range scan otherwise costs more than the narrow
@@ -172,17 +267,17 @@ class TiledSat {
     tr_ = (rows + w_ - 1) / w_;
     tc_ = (cols + w_ - 1) / w_;
     const std::size_t tiles = tr_ * tc_;
-    const std::size_t slot = w_ * w_;
     row_base_ = detail::aligned_array<Wide>(tiles * w_);
     col_base_ = detail::aligned_array<Wide>(tiles * w_);
     enc_.assign(tiles, static_cast<std::uint8_t>(TileEnc::kWide));
-    if constexpr (std::is_floating_point_v<T>) {
-      f32_ = detail::aligned_array<float>(tiles * slot);
-    } else {
-      u16_ = detail::aligned_array<std::uint16_t>(tiles * slot);
-      u32_ = detail::aligned_array<std::uint32_t>(tiles * slot);
-    }
-    wide_ = detail::aligned_array<Wide>(tiles * slot);
+    off_.assign(tiles, 0);
+    // Worst case: every tile at the widest residual the element type uses.
+    const std::size_t widest = std::is_floating_point_v<T>
+                                   ? residual_size(TileEnc::kF32)
+                                   : residual_size(TileEnc::kWide);
+    for (std::size_t ti = 0; ti < tr_; ++ti)
+      capacity_ += tc_ * slot_bytes(extent(rows_, ti), widest);
+    plane_ = detail::make_plane(capacity_);
   }
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
@@ -203,6 +298,11 @@ class TiledSat {
   // Each tile's slots are disjoint; distinct tiles may be encoded from
   // distinct threads without synchronization (the SKSS-LB batch encoder
   // does exactly that).
+
+  /// Rewinds the residual plane for a whole-table encode: every tile must
+  /// then be encoded exactly once before the table is read. Not concurrent
+  /// with encode_tile.
+  void begin_encode() noexcept { cursor_.rewind(); }
 
   [[nodiscard]] Wide* row_base(std::size_t tile) {
     return row_base_.get() + tile * w_;
@@ -263,11 +363,17 @@ class TiledSat {
     }
     enc_[tile] = static_cast<std::uint8_t>(e);
 
-    const std::size_t slot = tile * w_ * w_;
+    const std::size_t bytes = slot_bytes(tp, residual_size(e));
+    const std::size_t off = cursor_.take(bytes);
+    SAT_CHECK_MSG(off + bytes <= capacity_,
+                  "TiledSat residual plane overrun: a tile was encoded twice "
+                  "without begin_encode()");
+    off_[tile] = off;
+
     if (e == TileEnc::kWide) {
       // Overflow fallback: raw values, no bias (avoids i64 range games).
       for (std::size_t p = 0; p < tp; ++p) rb[p] = row_band[p];
-      Wide* dst = wide_.get() + slot;
+      Wide* dst = residuals<Wide>(tile);
       for (std::size_t p = 0; p < tp; ++p) {
         const T* src = tilebuf + p * ld;
         Wide* out = dst + p * w_;
@@ -282,7 +388,7 @@ class TiledSat {
 
     if (e == TileEnc::kF32) {
       if constexpr (std::is_floating_point_v<T>) {
-        float* dst = f32_.get() + slot;
+        float* dst = residuals<float>(tile);
         for (std::size_t p = 0; p < tp; ++p) {
           const T* src = tilebuf + p * ld;
           float* out = dst + p * w_;
@@ -294,7 +400,7 @@ class TiledSat {
     }
 
     if (e == TileEnc::kU16) {
-      std::uint16_t* dst = u16_.get() + slot;
+      std::uint16_t* dst = residuals<std::uint16_t>(tile);
       bool streamed = false;
 #if defined(SATSIMD_BACKEND_AVX2)
       // Pack 16 bias-relative i32 residuals to u16 and stream them. Gated
@@ -339,7 +445,7 @@ class TiledSat {
       return;
     }
 
-    std::uint32_t* dst = u32_.get() + slot;
+    std::uint32_t* dst = residuals<std::uint32_t>(tile);
     for (std::size_t p = 0; p < tp; ++p) {
       const T* src = tilebuf + p * ld;
       std::uint32_t* out = dst + p * w_;
@@ -358,12 +464,15 @@ class TiledSat {
     const std::size_t p = r % w_, q = c % w_;
     const std::size_t t = ti * tc_ + tj;
     const Wide base = row_base_[t * w_ + p] + col_base_[t * w_ + q];
-    const std::size_t off = t * w_ * w_ + p * w_ + q;
+    const std::size_t i = p * w_ + q;
     switch (static_cast<TileEnc>(enc_[t])) {
-      case TileEnc::kU16: return base + static_cast<Wide>(u16_[off]);
-      case TileEnc::kU32: return base + static_cast<Wide>(u32_[off]);
-      case TileEnc::kF32: return base + static_cast<Wide>(f32_[off]);
-      case TileEnc::kWide: return base + wide_[off];
+      case TileEnc::kU16:
+        return base + static_cast<Wide>(residuals<std::uint16_t>(t)[i]);
+      case TileEnc::kU32:
+        return base + static_cast<Wide>(residuals<std::uint32_t>(t)[i]);
+      case TileEnc::kF32:
+        return base + static_cast<Wide>(residuals<float>(t)[i]);
+      case TileEnc::kWide: return base + residuals<Wide>(t)[i];
     }
     return base;
   }
@@ -378,47 +487,28 @@ class TiledSat {
                                                  << rows_ << "x" << cols_);
     for (std::size_t ti = 0; ti < tr_; ++ti) {
       const std::size_t r0 = ti * w_;
-      const std::size_t tp = rows_ - r0 < w_ ? rows_ - r0 : w_;
+      const std::size_t tp = extent(rows_, ti);
       for (std::size_t tj = 0; tj < tc_; ++tj) {
         const std::size_t c0 = tj * w_;
-        const std::size_t tq = cols_ - c0 < w_ ? cols_ - c0 : w_;
+        const std::size_t tq = extent(cols_, tj);
         const std::size_t t = ti * tc_ + tj;
         const Wide* rb = row_base_.get() + t * w_;
         const Wide* cb = col_base_.get() + t * w_;
-        const std::size_t slot = t * w_ * w_;
-        const TileEnc e = static_cast<TileEnc>(enc_[t]);
-        for (std::size_t p = 0; p < tp; ++p) {
-          T* dst = &out(r0 + p, c0);
-          const Wide base_r = rb[p];
-          switch (e) {
-            case TileEnc::kU16: {
-              const std::uint16_t* res = u16_.get() + slot + p * w_;
-              for (std::size_t q = 0; q < tq; ++q)
-                dst[q] = static_cast<T>(base_r + cb[q] +
-                                        static_cast<Wide>(res[q]));
-              break;
-            }
-            case TileEnc::kU32: {
-              const std::uint32_t* res = u32_.get() + slot + p * w_;
-              for (std::size_t q = 0; q < tq; ++q)
-                dst[q] = static_cast<T>(base_r + cb[q] +
-                                        static_cast<Wide>(res[q]));
-              break;
-            }
-            case TileEnc::kF32: {
-              const float* res = f32_.get() + slot + p * w_;
-              for (std::size_t q = 0; q < tq; ++q)
-                dst[q] = static_cast<T>(base_r + cb[q] +
-                                        static_cast<Wide>(res[q]));
-              break;
-            }
-            case TileEnc::kWide: {
-              const Wide* res = wide_.get() + slot + p * w_;
-              for (std::size_t q = 0; q < tq; ++q)
-                dst[q] = static_cast<T>(base_r + cb[q] + res[q]);
-              break;
-            }
+        auto decode_tile = [&](const auto* res) {
+          for (std::size_t p = 0; p < tp; ++p) {
+            T* dst = &out(r0 + p, c0);
+            const Wide base_r = rb[p];
+            const auto* row = res + p * w_;
+            for (std::size_t q = 0; q < tq; ++q)
+              dst[q] =
+                  static_cast<T>(base_r + cb[q] + static_cast<Wide>(row[q]));
           }
+        };
+        switch (static_cast<TileEnc>(enc_[t])) {
+          case TileEnc::kU16: decode_tile(residuals<std::uint16_t>(t)); break;
+          case TileEnc::kU32: decode_tile(residuals<std::uint32_t>(t)); break;
+          case TileEnc::kF32: decode_tile(residuals<float>(t)); break;
+          case TileEnc::kWide: decode_tile(residuals<Wide>(t)); break;
         }
       }
     }
@@ -426,27 +516,26 @@ class TiledSat {
 
   // ---- accounting --------------------------------------------------------
 
-  /// Bytes this representation actually stores (residual planes at their
-  /// chosen widths + base vectors + tags), counting only the live tp×tq
-  /// region of clipped edge tiles.
+  /// Bytes this representation actually stores (residuals at their chosen
+  /// widths + base vectors + tags), counting only the live tp×tq region of
+  /// clipped edge tiles.
   [[nodiscard]] std::size_t residual_bytes() const {
     std::size_t bytes = 0;
     for (std::size_t ti = 0; ti < tr_; ++ti) {
-      const std::size_t tp = rows_ - ti * w_ < w_ ? rows_ - ti * w_ : w_;
+      const std::size_t tp = extent(rows_, ti);
       for (std::size_t tj = 0; tj < tc_; ++tj) {
-        const std::size_t tq = cols_ - tj * w_ < w_ ? cols_ - tj * w_ : w_;
-        std::size_t esz = 0;
-        switch (enc(ti * tc_ + tj)) {
-          case TileEnc::kU16: esz = 2; break;
-          case TileEnc::kU32: esz = 4; break;
-          case TileEnc::kF32: esz = 4; break;
-          case TileEnc::kWide: esz = sizeof(Wide); break;
-        }
-        bytes += tp * tq * esz + (tp + tq) * sizeof(Wide) + 1;
+        const std::size_t tq = extent(cols_, tj);
+        bytes += tp * tq * residual_size(enc(ti * tc_ + tj)) +
+                 (tp + tq) * sizeof(Wide) + 1;
       }
     }
     return bytes;
   }
+
+  /// Bytes of the residual plane the last encode claimed: the high-water
+  /// mark of its cursor, i.e. the sum of every tile's 64-byte-rounded
+  /// tp·W·sizeof(width) slot. This is what an encode touches.
+  [[nodiscard]] std::size_t plane_bytes() const { return cursor_.used(); }
 
   /// Bytes the dense table of the same shape occupies.
   [[nodiscard]] std::size_t dense_bytes() const {
@@ -462,6 +551,35 @@ class TiledSat {
   }
 
  private:
+  static constexpr std::size_t residual_size(TileEnc e) {
+    switch (e) {
+      case TileEnc::kU16: return sizeof(std::uint16_t);
+      case TileEnc::kU32: return sizeof(std::uint32_t);
+      case TileEnc::kF32: return sizeof(float);
+      case TileEnc::kWide: return sizeof(Wide);
+    }
+    return sizeof(Wide);
+  }
+
+  /// Rows (or columns) of tile `k` along a dimension of length `n`.
+  [[nodiscard]] std::size_t extent(std::size_t n, std::size_t k) const {
+    return n - k * w_ < w_ ? n - k * w_ : w_;
+  }
+
+  /// Plane slot of a tile with `tp` rows at `esz` bytes per residual.
+  [[nodiscard]] std::size_t slot_bytes(std::size_t tp, std::size_t esz) const {
+    return detail::round_up(tp * w_ * esz, 64);
+  }
+
+  template <class U>
+  [[nodiscard]] U* residuals(std::size_t tile) {
+    return reinterpret_cast<U*>(plane_.get() + off_[tile]);
+  }
+  template <class U>
+  [[nodiscard]] const U* residuals(std::size_t tile) const {
+    return reinterpret_cast<const U*>(plane_.get() + off_[tile]);
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t w_ = 0;
@@ -470,10 +588,10 @@ class TiledSat {
   detail::AlignedArray<Wide> row_base_;
   detail::AlignedArray<Wide> col_base_;
   std::vector<std::uint8_t> enc_;
-  detail::AlignedArray<std::uint16_t> u16_;
-  detail::AlignedArray<std::uint32_t> u32_;
-  detail::AlignedArray<float> f32_;
-  detail::AlignedArray<Wide> wide_;
+  std::vector<std::size_t> off_;  ///< each tile's byte offset into plane_
+  std::size_t capacity_ = 0;      ///< plane_ bytes (worst-case widths)
+  detail::Plane plane_;
+  detail::SlotCursor cursor_;
 };
 
 /// region_sum on a tiled table — the same four-corner identity and guard

@@ -8,9 +8,12 @@
 // Options::storage, host.storage.* metrics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/api.hpp"
@@ -129,6 +132,114 @@ TEST(TiledResidual, PicksNarrowestWidthPerTile) {
       EXPECT_EQ(t.enc(k), Enc::kU32);
     EXPECT_EQ(t.overflow_tiles(), 0u);
   }
+}
+
+// One compact residual plane: a checkerboard of binary tiles (u16) and
+// byte-valued tiles (u32) with ragged edge tiles, through both encoders and
+// the SKSS-LB encoder at 1, 2 and 4 workers. Slot order in the plane may
+// follow claim timing; the decoded table, every tile's width and the plane's
+// high-water mark must not.
+TEST(TiledResidual, MixedWidthsShareOneCompactPlane) {
+  using Enc = TiledSat<std::int32_t>::TileEnc;
+  sathost::ThreadPool pool(4);
+  const struct {
+    std::size_t n, w;
+  } shapes[] = {{1000, 128}, {2048, 256}};
+  for (const auto& s : shapes) {
+    const std::size_t n = s.n, w = s.w;
+    auto in = Matrix<std::int32_t>::random(n, n, 29, 0, 255);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        if ((i / w + j / w) % 2 == 0) in(i, j) &= 1;
+    const auto oracle = oracle_i64(in);
+
+    std::vector<TiledSat<std::int32_t>> tables;
+    tables.emplace_back(n, n, w);
+    // Twice: a second encode must reuse the plane from its start.
+    sathost::sat_residual<std::int32_t>(in.view(), tables.back());
+    sathost::sat_residual<std::int32_t>(in.view(), tables.back());
+    for (std::size_t workers : {1u, 2u, 4u}) {
+      sathost::SkssLbOptions opt;
+      opt.workers = workers;
+      tables.emplace_back(n, n, w);
+      sathost::sat_skss_lb_residual<std::int32_t>(pool, in.view(),
+                                                  tables.back(), opt);
+    }
+
+    const TiledSat<std::int32_t>& ref = tables.front();
+    std::size_t u16 = 0, u32 = 0, slots = 0;
+    for (std::size_t ti = 0; ti < ref.tile_rows(); ++ti)
+      for (std::size_t tj = 0; tj < ref.tile_cols(); ++tj) {
+        const Enc e = ref.enc(ref.tile_index(ti, tj));
+        ASSERT_TRUE(e == Enc::kU16 || e == Enc::kU32) << ti << "," << tj;
+        (e == Enc::kU16 ? u16 : u32) += 1;
+        const std::size_t tp = std::min(w, n - ti * w);
+        const std::size_t esz = e == Enc::kU16 ? 2 : 4;
+        slots += (tp * w * esz + 63) / 64 * 64;
+      }
+    EXPECT_GT(u16, 0u) << n;
+    EXPECT_GT(u32, 0u) << n;
+
+    for (std::size_t k = 0; k < tables.size(); ++k) {
+      const TiledSat<std::int32_t>& t = tables[k];
+      for (std::size_t tile = 0; tile < t.tile_count(); ++tile)
+        ASSERT_EQ(t.enc(tile), ref.enc(tile))
+            << n << " table " << k << " tile " << tile;
+      EXPECT_EQ(t.plane_bytes(), slots) << n << " table " << k;
+      EXPECT_EQ(t.residual_bytes(), ref.residual_bytes()) << n << " " << k;
+      Matrix<std::int32_t> decoded(n, n);
+      t.decode_into(decoded.view());
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          ASSERT_EQ(decoded(i, j), oracle(i, j))
+              << n << " table " << k << " @" << i << "," << j;
+      for (const Rect& r : random_rects(n, n, 200, 37))
+        ASSERT_EQ(sat::region_sum(t, r), sat::region_sum(oracle, r))
+            << n << " table " << k;
+    }
+  }
+}
+
+// Touched memory follows the compact plane, not the worst-case reservation:
+// encoding a 2048² checkerboard of u16 and u32 tiles grows RSS by at most
+// residual_bytes plus one 2 MiB huge page. (Four per-width planes advised
+// MADV_HUGEPAGE grew it by about twice residual_bytes.)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define STORAGE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define STORAGE_TEST_SANITIZED 1
+#endif
+#endif
+TEST(TiledResidual, MixedWidthRssStaysNearResidualBytes) {
+#if defined(STORAGE_TEST_SANITIZED)
+  GTEST_SKIP() << "sanitizer shadow memory counts toward RSS";
+#elif defined(__linux__)
+  const auto rss_bytes = [] {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+      if (line.rfind("VmRSS:", 0) == 0)
+        return std::stoull(line.substr(6)) * 1024;
+    return 0ull;
+  };
+  const std::size_t n = 2048, w = 256;
+  auto in = Matrix<std::int32_t>::random(n, n, 7, 0, 255);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if ((i / w + j / w) % 2 == 0) in(i, j) &= 1;
+  const auto before = rss_bytes();
+  ASSERT_GT(before, 0u);
+  TiledSat<std::int32_t> t(n, n, w);
+  sathost::sat_residual<std::int32_t>(in.view(), t);
+  const auto after = rss_bytes();
+  const auto grown = after > before ? after - before : 0;
+  EXPECT_EQ(t.overflow_tiles(), 0u);
+  EXPECT_LE(grown, t.residual_bytes() + (std::size_t{2} << 20))
+      << "residual_bytes " << t.residual_bytes();
+#else
+  GTEST_SKIP() << "reads /proc/self/status";
+#endif
 }
 
 // High-dynamic-range input (i64 elements ~2^38): every tile's local range
