@@ -27,7 +27,8 @@
 // of sat_skss_lb_batch; see that header's proof sketch.
 //
 // Both engines publish host.storage.{residual_bytes,dense_bytes,
-// overflow_tiles} when given a registry (docs/observability.md).
+// overflow_tiles,recycled_tables} when given a registry
+// (docs/observability.md).
 #pragma once
 
 #include <algorithm>
@@ -52,18 +53,22 @@ namespace detail {
 inline void publish_storage_metrics(obs::Registry* reg,
                                     std::size_t residual_bytes,
                                     std::size_t dense_bytes,
-                                    std::size_t overflow_tiles) {
+                                    std::size_t overflow_tiles,
+                                    std::size_t recycled_tables) {
 #if SATLIB_OBS_ENABLED
   if (reg == nullptr) return;
   reg->counter("host.storage.residual_bytes").add(residual_bytes);
   reg->counter("host.storage.dense_bytes").add(dense_bytes);
   if (overflow_tiles > 0)
     reg->counter("host.storage.overflow_tiles").add(overflow_tiles);
+  if (recycled_tables > 0)
+    reg->counter("host.storage.recycled_tables").add(recycled_tables);
 #else
   (void)reg;
   (void)residual_bytes;
   (void)dense_bytes;
   (void)overflow_tiles;
+  (void)recycled_tables;
 #endif
 }
 
@@ -145,7 +150,7 @@ void sat_residual(satutil::Span2d<const T> src, sat::TiledSat<T>& out,
     }
   }
   detail::publish_storage_metrics(reg, out.residual_bytes(), out.dense_bytes(),
-                                  out.overflow_tiles());
+                                  out.overflow_tiles(), out.recycled() ? 1 : 0);
 }
 
 /// Batched 1R1W-SKSS-LB tiled-residual encoder: every image of the batch
@@ -322,13 +327,15 @@ void sat_skss_lb_residual_batch(ThreadPool& pool,
   pool.run_persistent(nworkers, worker);
 
   if (opt.metrics != nullptr) {
-    std::size_t resid = 0, dense = 0, overflow = 0;
+    std::size_t resid = 0, dense = 0, overflow = 0, recycled = 0;
     for (const sat::TiledSat<T>* out : outs) {
       resid += out->residual_bytes();
       dense += out->dense_bytes();
       overflow += out->overflow_tiles();
+      recycled += out->recycled() ? 1 : 0;
     }
-    detail::publish_storage_metrics(opt.metrics, resid, dense, overflow);
+    detail::publish_storage_metrics(opt.metrics, resid, dense, overflow,
+                                    recycled);
   }
 }
 

@@ -1,7 +1,8 @@
 // satd-client — load and correctness driver for satd.
 //
 //   satd-client --port-file /tmp/satd.port --connections 4 --requests 32
-//               --shapes 256x256,128x512 --dtype i32 --validate
+//               --shapes 256x256,128x512 --dtype i32 --storage residual
+//               --validate
 //
 // Each connection runs on its own thread and *pipelines*: every request is
 // written before replies are read, so a burst of same-shape frames lands in
@@ -9,7 +10,9 @@
 // matched to requests by trace_id (batching reorders across shapes).
 // OVERLOADED replies are retried with backoff up to --retries times; any
 // other error, a missing reply, or (--validate) a result that mismatches
-// the sat_sequential oracle makes the exit status nonzero.
+// the sat_sequential oracle makes the exit status nonzero. --storage picks
+// the COMPUTE frames' storage byte (how the server computes the table; the
+// reply is dense either way).
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -113,6 +116,7 @@ bool check_result(const Pending<T>& p, const satd::MatrixPayload& m) {
 
 template <class T>
 int run_connection(std::uint16_t port, satd::Dtype dtype,
+                   satd::WireStorage storage,
                    const std::vector<Shape>& shapes, int requests,
                    std::uint64_t conn_index, std::uint64_t seed, bool validate,
                    int retries) {
@@ -130,7 +134,7 @@ int run_connection(std::uint16_t port, satd::Dtype dtype,
     auto input = sat::Matrix<T>::random(shape.rows, shape.cols,
                                         seed + trace_id);
     const auto payload = satd::encode_matrix_payload(
-        shape.rows, shape.cols, dtype, input.view().data());
+        shape.rows, shape.cols, dtype, input.view().data(), storage);
     if (!client.send(satd::Type::kCompute, trace_id, payload)) {
       std::fprintf(stderr, "satd-client: send failed\n");
       return 1;
@@ -165,7 +169,8 @@ int run_connection(std::uint16_t port, satd::Dtype dtype,
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
           const Pending<T>& p = it->second;
           const auto payload = satd::encode_matrix_payload(
-              p.shape.rows, p.shape.cols, dtype, p.input.view().data());
+              p.shape.rows, p.shape.cols, dtype, p.input.view().data(),
+              storage);
           if (!client.send(satd::Type::kCompute, reply.trace_id, payload))
             return 1;
           continue;
@@ -196,7 +201,7 @@ int run_connection(std::uint16_t port, satd::Dtype dtype,
 }
 
 template <class T>
-int run_all(std::uint16_t port, satd::Dtype dtype,
+int run_all(std::uint16_t port, satd::Dtype dtype, satd::WireStorage storage,
             const std::vector<Shape>& shapes, int connections, int requests,
             std::uint64_t seed, bool validate, int retries) {
   std::vector<std::thread> threads;
@@ -204,7 +209,7 @@ int run_all(std::uint16_t port, satd::Dtype dtype,
   for (int c = 0; c < connections; ++c) {
     threads.emplace_back([&, c] {
       status[static_cast<std::size_t>(c)] =
-          run_connection<T>(port, dtype, shapes, requests,
+          run_connection<T>(port, dtype, storage, shapes, requests,
                             static_cast<std::uint64_t>(c + 1), seed, validate,
                             retries);
     });
@@ -226,6 +231,8 @@ int main(int argc, char** argv) {
       .add("requests", "8", "pipelined requests per connection")
       .add("shapes", "256x256", "comma list of RxC request shapes")
       .add("dtype", "i32", "element type: f32, i32, or i64")
+      .add("storage", "dense",
+           "server-side storage mode: dense, residual, or kahan (f32 only)")
       .add("seed", "1", "base RNG seed for request matrices")
       .add("retries", "50", "max OVERLOADED retries per request")
       .add_flag("validate", "check every result against sat_sequential")
@@ -245,17 +252,32 @@ int main(int argc, char** argv) {
   const bool validate = args.get_flag("validate");
   const int retries = static_cast<int>(args.get_int("retries"));
   const std::string dtype = args.get("dtype");
+  const std::string storage_name = args.get("storage");
+  satd::WireStorage storage;
+  if (storage_name == "dense") {
+    storage = satd::WireStorage::kDense;
+  } else if (storage_name == "residual") {
+    storage = satd::WireStorage::kResidual;
+  } else if (storage_name == "kahan" && dtype == "f32") {
+    storage = satd::WireStorage::kKahan;
+  } else {
+    std::fprintf(stderr,
+                 "satd-client: bad storage '%s' (dense, residual, or kahan "
+                 "with --dtype f32)\n",
+                 storage_name.c_str());
+    return 2;
+  }
 
   int rc;
   if (dtype == "f32") {
-    rc = run_all<float>(port, satd::Dtype::kF32, shapes, connections,
+    rc = run_all<float>(port, satd::Dtype::kF32, storage, shapes, connections,
                         requests, seed, validate, retries);
   } else if (dtype == "i32") {
-    rc = run_all<std::int32_t>(port, satd::Dtype::kI32, shapes, connections,
-                               requests, seed, validate, retries);
+    rc = run_all<std::int32_t>(port, satd::Dtype::kI32, storage, shapes,
+                               connections, requests, seed, validate, retries);
   } else if (dtype == "i64") {
-    rc = run_all<std::int64_t>(port, satd::Dtype::kI64, shapes, connections,
-                               requests, seed, validate, retries);
+    rc = run_all<std::int64_t>(port, satd::Dtype::kI64, storage, shapes,
+                               connections, requests, seed, validate, retries);
   } else {
     std::fprintf(stderr, "satd-client: unknown dtype '%s'\n", dtype.c_str());
     return 2;
