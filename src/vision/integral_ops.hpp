@@ -114,18 +114,20 @@ struct TiledMomentTables {
       const sat::Matrix<T>& image,
       std::size_t tile_w = sat::kDefaultResidualTileW) {
     const std::size_t rows = image.rows(), cols = image.cols();
-    sat::Matrix<double> v(rows, cols), v2(rows, cols);
+    // One f64 staging plane, squared in place after the first encode. With
+    // two, freeing them let glibc trim the heap after every build (16 MiB
+    // at 1024²), and the next build faulted it all back in.
+    sat::Matrix<double> v(rows, cols);
     for (std::size_t i = 0; i < rows; ++i)
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double x = static_cast<double>(image(i, j));
-        v(i, j) = x;
-        v2(i, j) = x * x;
-      }
+      for (std::size_t j = 0; j < cols; ++j)
+        v(i, j) = static_cast<double>(image(i, j));
     TiledMomentTables t;
     t.sum = sat::TiledSat<double>(rows, cols, tile_w);
     t.sum_sq = sat::TiledSat<double>(rows, cols, tile_w);
     sathost::sat_residual<double>(v.view(), t.sum);
-    sathost::sat_residual<double>(v2.view(), t.sum_sq);
+    double* x = v.data();
+    for (std::size_t i = 0; i < rows * cols; ++i) x[i] *= x[i];
+    sathost::sat_residual<double>(v.view(), t.sum_sq);
     return t;
   }
 
